@@ -12,6 +12,7 @@ exact on the dyadic grid / stored symbol windows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +64,15 @@ __all__ = [
 
 @dataclass
 class PointCloud:
-    """Points admitted into the delta-local unstable set of a base point."""
+    """Points admitted into the delta-local unstable set of a base point.
 
-    points: list
+    ``rows`` is the one stored representation: for torus clouds an (N, 2)
+    int64 array of dyadic grid integers, for shift clouds an (N, width) int8
+    symbol matrix whose column 0 is coordinate ``lo``.  Point objects are
+    built only on access, through ``points``.
+    """
+
+    rows: np.ndarray
     base: object
     delta: float
     back_horizon: int
@@ -73,9 +80,39 @@ class PointCloud:
     kind: str  # "torus" or "shift"
     admitted: int
     rejected: int
+    lo: int = 0  # shift clouds: coordinate of column 0 of ``rows``
     collinearity_residual: float | None = None
     varied_window: tuple | None = None  # (first coord, depth) for shift clouds
     diagnostics: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def points(self) -> "_CloudPoints":
+        return _CloudPoints(self)
+
+    def torus_coords(self) -> np.ndarray:
+        """(N, 2) float coordinates, exactly as ``TorusPoint.from_ints`` gives them."""
+        return (self.rows % FIXED_DENOM) / FIXED_DENOM
+
+
+class _CloudPoints(Sequence):
+    """Read-only view of a cloud that builds one point object per access."""
+
+    def __init__(self, cloud: PointCloud):
+        self._cloud = cloud
+
+    def __len__(self) -> int:
+        return len(self._cloud.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        row = self._cloud.rows[i]
+        if self._cloud.kind == "torus":
+            return TorusPoint.from_ints(int(row[0]), int(row[1]))
+        return SymbolicPoint(row.copy(), self._cloud.lo)
 
 
 @dataclass
@@ -137,7 +174,17 @@ def _lattice_ladder(sys: ToralAutomorphism, e_u: np.ndarray, s_max: float):
     return vecs, projs, perps
 
 
-def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
+def _torus_candidates(sys, delta, back_horizon, budget, tol):
+    """Candidate displacements along the unstable line: (lambda, e_u, levels, disp).
+
+    ``budget`` targets evenly spaced on the unstable line are each decomposed
+    greedily along the usable ladder levels (largest projection first): while
+    |s| >= |w|, step one ladder vector toward s and subtract its projection.
+    All targets advance together in masked passes, so each sees the same float
+    subtractions, in the same order, as a per-target loop would.  ``disp`` is
+    an (n, 2) int64 array of the distinct results in first-seen order; ladder
+    coordinates stay below ~2^49, so int64 is exact.
+    """
     lam, e_u = _unstable_direction(np.array(sys.matrix, dtype=float))
     if lam <= 1.0:
         raise UnsupportedOracle("unstable sampling needs a hyperbolic matrix")
@@ -153,31 +200,33 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
             f"delta={delta} is below the backward-horizon resolution floor"
         )
     usable = [j for j in usable if abs(projs[j]) > 0]
-    order = sorted(usable, key=lambda j: -abs(projs[j]))
-    smallest = min(abs(projs[j]) for j in usable)
 
-    targets = np.linspace(-s_max, s_max, budget)
-    kx0, ky0 = x.ints()
-    seen = set()
-    disp = []
-    for t in targets:
-        s = float(t)
-        kx, ky = 0, 0
-        for j in order:
-            w = projs[j]
-            aw = abs(w)
-            while abs(s) >= aw and aw >= smallest:
-                sgn = 1 if (s > 0) == (w > 0) else -1
-                kx += sgn * vecs[j][0]
-                ky += sgn * vecs[j][1]
-                s -= sgn * w
-        if (kx, ky) not in seen:
-            seen.add((kx, ky))
-            disp.append((kx, ky))
-    if not disp or disp == [(0, 0)]:
+    s = np.linspace(-s_max, s_max, budget)
+    k = np.zeros((len(s), 2), dtype=np.int64)
+    for j in sorted(usable, key=lambda j: -abs(projs[j])):
+        w = projs[j]
+        aw = abs(w)
+        v = np.array(vecs[j], dtype=np.int64)
+        active = np.flatnonzero(np.abs(s) >= aw)
+        while active.size:
+            sgn = np.where((s[active] > 0) == (w > 0), 1, -1)
+            k[active] += sgn[:, None] * v
+            s[active] -= sgn * w
+            active = active[np.abs(s[active]) >= aw]
+    # first occurrence of each distinct row: a stable sort keeps ties in index order
+    by_row = np.lexsort((k[:, 1], k[:, 0]))
+    sorted_k = k[by_row]
+    first = np.ones(len(k), dtype=bool)
+    first[1:] = (sorted_k[1:] != sorted_k[:-1]).any(axis=1)
+    return lam, e_u, len(usable), k[np.sort(by_row[first])]
+
+
+def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
+    lam, e_u, levels, disp = _torus_candidates(sys, delta, back_horizon, budget, tol)
+    if len(disp) == 0 or (len(disp) == 1 and not disp.any()):
         raise EmptyCloud("no candidate displacements at this delta")
 
-    D = np.array(disp, dtype=np.int64) % FIXED_DENOM
+    D = disp % FIXED_DENOM
     Minv = np.array(sys.inverse_matrix, dtype=np.int64)
     cur = D.copy()
     ok = np.ones(len(disp), dtype=bool)
@@ -198,31 +247,29 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
     fail_tol = (final_d > tol) & (first_fail < 0)
     first_fail[fail_tol] = back_horizon
     keep = np.flatnonzero(ok)
-    if not any(disp[i] != (0, 0) for i in keep):
+    if not disp[keep].any():
         tightest = int(first_fail[first_fail >= 0].min()) if (first_fail >= 0).any() else 0
         raise EmptyCloud(
             f"no nontrivial candidate survived admission; tightest failing n = {tightest}"
         )
-    pts = [
-        TorusPoint.from_ints(kx0 + disp[i][0], ky0 + disp[i][1]) for i in keep
-    ]
+    rows = (np.array(x.ints(), dtype=np.int64) + disp[keep]) % FIXED_DENOM
     # perpendicular offset from the unstable line through x (exact displacements)
-    Df = np.array([disp[i] for i in keep], dtype=float) / FIXED_DENOM
-    perp_resid = float(np.abs(Df @ np.array([-e_u[1], e_u[0]])).max()) if len(keep) else 0.0
+    Df = disp[keep].astype(float) / FIXED_DENOM
+    perp_resid = float(np.abs(Df @ np.array([-e_u[1], e_u[0]])).max())
     return PointCloud(
-        points=pts,
+        rows=rows,
         base=x,
         delta=delta,
         back_horizon=back_horizon,
         admission_tolerance=tol,
         kind="torus",
-        admitted=len(pts),
-        rejected=len(disp) - len(pts),
+        admitted=len(rows),
+        rejected=len(disp) - len(rows),
         collinearity_residual=perp_resid,
         diagnostics={
             "lambda": lam,
-            "ladder_levels": len(usable),
-            "final_distance_max": float(final_d[keep].max()) if len(keep) else 0.0,
+            "ladder_levels": levels,
+            "final_distance_max": float(final_d[keep].max()),
         },
     )
 
@@ -258,10 +305,8 @@ def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget
         depth += 1
     n_words = a**depth
     if n_words <= budget:
-        words = np.array(
-            [[(w_ // a**j) % a for j in range(depth - 1, -1, -1)] for w_ in range(n_words)],
-            dtype=np.int8,
-        )
+        powers = a ** np.arange(depth - 1, -1, -1)
+        words = ((np.arange(n_words)[:, None] // powers) % a).astype(np.int8)
     else:  # pragma: no cover - enumeration always fits by construction of depth
         rng = rng_for(seed, 31)
         words = rng.integers(0, a, size=(budget, depth), dtype=np.int8)
@@ -272,39 +317,42 @@ def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget
 
     base_word = np.asarray(x.coords(list(var_coords)), dtype=np.int8)
     diff = words != base_word[None, :]
-    iis = np.arange(back_horizon + 1)
-    # back-iterates move mismatch coordinates by +i (forward shift) / -i (inverted)
-    shifted = np.abs(var_coords[None, :, None] + side * iis[None, None, :])
     if isinstance(sys.metric, DyadicMetric):
-        big = np.where(diff[:, :, None], shifted, np.iinfo(np.int64).max)
-        nearest = big.min(axis=1).astype(float)
-        dists = np.where(nearest < 1e17, 2.0**-nearest, 0.0)
+        # back-iterates move every varied coordinate one step further from 0
+        # (they never cross it), so the nearest mismatch at back-iterate i sits
+        # at |coordinate| near0 + i and the distance there is 2^-(near0 + i)
+        big = np.where(diff, np.abs(var_coords)[None, :], np.iinfo(np.int64).max)
+        near0 = big.min(axis=1).astype(float)
+        d0 = np.where(near0 < 1e17, 2.0**-near0, 0.0)
+        d_last = np.where(near0 < 1e17, 2.0 ** -(near0 + back_horizon), 0.0)
+        # distances only shrink along the backward orbit: a word that fails
+        # fails at back-iterate 0 already, and d0 <= delta covers every i
+        ok = (d0 <= delta) & (d_last <= tol)
+        tightest = 0
     else:
+        iis = np.arange(back_horizon + 1)
+        # back-iterates move mismatch coordinates by +i (forward shift) / -i (inverted)
+        shifted = np.abs(var_coords[None, :, None] + side * iis[None, None, :])
         vals = sys.metric.weights.values(int(shifted.max()))
         wmat = vals[shifted] * (shifted <= sys.window)
         dists = np.sqrt((diff[:, :, None] * wmat).sum(axis=1))
-    ok = (dists <= delta).all(axis=1) & (dists[:, -1] <= tol)
+        ok = (dists <= delta).all(axis=1) & (dists[:, -1] <= tol)
+        tightest = int((dists > delta).argmax(axis=1).min())
     if not ok.any():
-        per_i_fail = (dists > delta).argmax(axis=1)
-        raise EmptyCloud(
-            f"every candidate failed admission; tightest failing n = {int(per_i_fail.min())}"
-        )
+        raise EmptyCloud(f"every candidate failed admission; tightest failing n = {tightest}")
     keep = np.flatnonzero(ok)
-    pos = var_coords - x.lo
-    pts = []
-    for i in keep:
-        syms = x.symbols.copy()
-        syms[pos] = words[i]
-        pts.append(SymbolicPoint(syms, x.lo))
+    rows = np.repeat(x.symbols[None, :], len(keep), axis=0)
+    rows[:, var_coords - x.lo] = words[keep]
     return PointCloud(
-        points=pts,
+        rows=rows,
         base=x,
         delta=delta,
         back_horizon=back_horizon,
         admission_tolerance=tol,
         kind="shift",
-        admitted=len(pts),
-        rejected=int(len(words) - len(pts)),
+        admitted=len(rows),
+        rejected=int(len(words) - len(rows)),
+        lo=x.lo,
         varied_window=(int(var_coords[0]), depth),
         diagnostics={"m_delta": m_delta, "alphabet": a, "inverted": sys.inverted},
     )
@@ -360,22 +408,47 @@ def _symbolic_box_radius(sys: FullShift, eps: float) -> int:
     return k
 
 
+_KEY_LIMIT = 1 << 62  # packed keys stay below this, so key * radix + digit fits in int64
+
+
+def _distinct_rows(block: np.ndarray, radix: int | None = None) -> int:
+    """Number of distinct rows of a nonnegative integer matrix.
+
+    Columns are packed into one int64 key per row in mixed radix (``radix``
+    for every column, or each column's max + 1); before the packed range
+    would pass 2^62 the key is re-ranked to 0..(distinct - 1), so the count
+    is exact for any width.
+    """
+    key = np.zeros(len(block), dtype=np.int64)
+    span = 1
+    for col in block.T:
+        r = radix if radix is not None else int(col.max()) + 1
+        if span * r > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = len(uniq)
+        key = key * r + col
+        span *= r
+    return len(np.unique(key))
+
+
 def _cloud_box_counts(cloud: PointCloud, sys, scales, origin_shift: float = 0.0):
     counts = []
     if cloud.kind == "torus":
-        P = np.array([[p.x, p.y] for p in cloud.points])
+        P = cloud.torus_coords()
         for eps in scales:
             idx = np.floor((P + origin_shift * eps) / eps).astype(np.int64)
-            counts.append(int(np.unique(idx, axis=0).shape[0]))
+            counts.append(_distinct_rows(idx - idx.min(axis=0)))
     else:
-        S = np.stack([p.symbols for p in cloud.points])
-        lo = cloud.points[0].lo
-        hi = cloud.points[0].hi
+        S = cloud.rows
+        lo = cloud.lo
+        hi = lo + S.shape[1] - 1
+        # columns constant across the cloud cannot split a box
+        varies = (S != S[0]).any(axis=0)
         for eps in scales:
             k = _symbolic_box_radius(sys, eps)
             c0, c1 = max(-k, lo), min(k, hi)
-            block = S[:, c0 - lo : c1 - lo + 1]
-            counts.append(int(np.unique(block, axis=0).shape[0]))
+            block = S[:, c0 - lo : c1 - lo + 1][:, varies[c0 - lo : c1 - lo + 1]]
+            counts.append(_distinct_rows(block, sys.alphabet_size))
     return counts
 
 
@@ -387,7 +460,7 @@ def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEsti
     torus clouds as a robustness column.
     """
     scales = sorted(float(s) for s in scales)[::-1]  # decreasing
-    n_pts = len(cloud.points)
+    n_pts = len(cloud)
     if n_pts == 0:
         raise EmptyCloud("no points to count")
     if 1 < n_pts < 100:
@@ -471,19 +544,16 @@ def local_dimension_lower(
             masses.append(logm)
         log_mass = np.array(masses)
     else:
-        pts = cloud.points
         if cloud.kind == "torus":
-            P = np.array([[p.x, p.y] for p in pts])
-            v = P - np.array([probe_y.x, probe_y.y])[None, :]
+            v = cloud.torus_coords() - np.array([probe_y.x, probe_y.y])[None, :]
             v -= np.round(v)
             d = np.hypot(v[:, 0], v[:, 1])
         else:
-            S = np.stack([p.symbols for p in pts])
-            target = np.asarray(
-                probe_y.coords(list(range(pts[0].lo, pts[0].hi + 1))), dtype=S.dtype
-            )
+            S = cloud.rows
+            coords = np.arange(cloud.lo, cloud.lo + S.shape[1])
+            target = np.asarray(probe_y.coords(coords), dtype=S.dtype)
             diff = S != target[None, :]
-            coords_abs = np.abs(np.arange(pts[0].lo, pts[0].hi + 1))
+            coords_abs = np.abs(coords)
             big = np.where(diff, coords_abs[None, :], np.iinfo(np.int64).max)
             nearest = big.min(axis=1).astype(float)
             d = np.where(nearest < 1e17, 2.0**-nearest, 0.0)
@@ -514,7 +584,7 @@ def local_dimension_lower(
         stderr=float(fit.stderr),
         ci=(float(fit.slope) - 1.96 * float(fit.stderr), float(fit.slope) + 1.96 * float(fit.stderr)),
         method="local_mass",
-        n_points=len(cloud.points),
+        n_points=len(cloud),
         monotone=all(m2 <= m1 for m1, m2 in zip(masses, masses[1:])),
         liminf_proxy=float(tail.min()),
         per_scale_ratio=[float(v) for v in ratios],

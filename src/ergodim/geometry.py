@@ -262,18 +262,21 @@ def lipschitz_table(
     probes: int,
     seed: int,
     r_tag: int = 0,
+    first_index: int = 0,
 ):
     """Batched L_n^r estimates: values[point, n_index], NaN where no probe accepted.
 
     Each point gets its own derived generator (seed, r_tag, point index), and
     one probe block is drawn per point and reused across the n-schedule, so
-    results are independent of evaluation order and of threading.
+    results are independent of evaluation order and of threading.  A caller
+    that passes a contiguous slice of a larger point list gives the slice's
+    first index as ``first_index``, so every point keeps its own generator.
     """
     ns = [int(n) for n in n_schedule]
     values = np.full((len(points), len(ns)), np.nan)
     accepted_counts = np.zeros((len(points), len(ns)), dtype=int)
     for i, x in enumerate(points):
-        rng = rng_for(seed, r_tag, i)
+        rng = rng_for(seed, r_tag, first_index + i)
         acc, rat = _probe_ratios(sys, x, r, ns, probes, rng)
         any_acc = acc.any(axis=0)
         accepted_counts[i] = acc.sum(axis=0)

@@ -126,10 +126,10 @@ class ExperimentConfig:
         if "seed" not in raw:
             raise ConfigInvalid("field 'seed': required (no environment entropy is ever used)")
         seed = raw["seed"]
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ConfigInvalid(f"field 'seed': expected a nonnegative integer, got {seed!r}")
         threads = raw.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
+        if not _is_int(threads) or threads < 1:
             raise ConfigInvalid(f"field 'threads': expected a positive integer, got {threads!r}")
         system = raw.get("system", _default_system(task))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
@@ -138,12 +138,17 @@ class ExperimentConfig:
         options = {k: raw[k] for k in raw if k not in _COMMON_KEYS}
         _validate_schedules(task, options)
         window = raw.get("window")
-        if window is not None and (not isinstance(window, int) or window < 8):
+        if window is not None and (not _is_int(window) or window < 8):
             raise ConfigInvalid(f"field 'window': expected an integer >= 8, got {window!r}")
         return ExperimentConfig(
             task=task, seed=seed, system=system, oracle=oracle,
             options=options, threads=threads, window=window,
         )
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _default_system(task: str) -> dict:
@@ -174,13 +179,23 @@ def _validate_descriptor(desc, table, label):
 
 
 def _validate_schedules(task: str, options: dict):
-    def decreasing(name):
+    def schedule(name):
         s = options.get(name)
+        if name in options and (
+            not isinstance(s, list)
+            or not s
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in s)
+        ):
+            raise ConfigInvalid(f"field '{name}': expected a non-empty list of numbers, got {s!r}")
+        return s
+
+    def decreasing(name):
+        s = schedule(name)
         if s is not None and any(b >= a for a, b in zip(s, s[1:])):
             raise ConfigInvalid(f"field '{name}': must be strictly decreasing, got {s}")
 
     def increasing(name):
-        s = options.get(name)
+        s = schedule(name)
         if s is not None and any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigInvalid(f"field '{name}': must be strictly increasing, got {s}")
 
@@ -192,7 +207,7 @@ def _validate_schedules(task: str, options: dict):
     increasing("norm_ks")
     for name in ("points", "probes", "samples", "paths", "pairs", "cloud_budget", "base_points"):
         v = options.get(name)
-        if v is not None and (not isinstance(v, int) or v < 1):
+        if v is not None and (not _is_int(v) or v < 1):
             raise ConfigInvalid(f"field '{name}': expected a positive integer, got {v!r}")
     allowed_modes = {
         "entropy": ("auto", "exact", "monte_carlo"),

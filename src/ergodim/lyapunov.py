@@ -153,32 +153,15 @@ def _table_threaded(sys, xs, r, ns, probes, seed, r_tag, threads):
     from concurrent.futures import ThreadPoolExecutor
 
     chunks = np.array_split(np.arange(len(xs)), min(threads, len(xs)))
-    values = np.full((len(xs), len(ns)), np.nan)
-    accepted = np.zeros((len(xs), len(ns)), dtype=int)
 
     def work(idx):
-        # per-point seeds make the result independent of the chunking
-        sub_vals = np.full((len(idx), len(ns)), np.nan)
-        sub_acc = np.zeros((len(idx), len(ns)), dtype=int)
-        for row, i in enumerate(idx):
-            v, a = _table_single(sys, xs[i], r, ns, probes, seed, r_tag, int(i))
-            sub_vals[row] = v
-            sub_acc[row] = a
-        return idx, sub_vals, sub_acc
+        # per-point seeds (global index) make the result independent of the chunking
+        return lipschitz_table(
+            sys, [xs[i] for i in idx], r, ns, probes, seed, r_tag, first_index=int(idx[0])
+        )
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for idx, sub_vals, sub_acc in pool.map(work, chunks):
-            values[idx] = sub_vals
-            accepted[idx] = sub_acc
+        parts = list(pool.map(work, chunks))
+    values = np.concatenate([v for v, _ in parts])
+    accepted = np.concatenate([a for _, a in parts])
     return values, accepted
-
-
-def _table_single(sys, x, r, ns, probes, seed, r_tag, point_index):
-    from .geometry import _probe_ratios
-    from .measures import rng_for
-
-    rng = rng_for(seed, r_tag, point_index)
-    acc, rat = _probe_ratios(sys, x, r, ns, probes, rng)
-    any_acc = acc.any(axis=0)
-    vals = np.where(any_acc, rat.max(axis=0), np.nan)
-    return vals, acc.sum(axis=0)

@@ -48,6 +48,14 @@ def test_unknown_config_key_exits_one(tmp_path, config_file, capsys):
     assert "unknown key(s) for task 'entropy': bogus" in err
 
 
+@pytest.mark.parametrize("n_schedule", [[], "2,4,6"])
+def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule):
+    cfg = config_file({"task": "chi", "seed": 0, "n_schedule": n_schedule})
+    rc = main(["chi", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "field 'n_schedule': expected a non-empty list of numbers" in capsys.readouterr().err
+
+
 def test_task_mismatch_exits_one(tmp_path, config_file, capsys):
     cfg = config_file({"task": "entropy", "seed": 0})
     rc = main(["chi", "--config", cfg, "--out", str(tmp_path / "out")])

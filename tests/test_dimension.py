@@ -13,6 +13,11 @@ import pytest
 
 from ergodim.dimension import (
     PointCloud,
+    _cloud_box_counts,
+    _lattice_ladder,
+    _symbolic_box_radius,
+    _torus_candidates,
+    _unstable_direction,
     box_counting_dimension,
     local_dimension_lower,
     sample_unstable_set,
@@ -31,7 +36,10 @@ from ergodim.measures import BernoulliIID, sample_point
 from ergodim.partitions import disintegrate_past
 from ergodim.systems import (
     FIXED_DENOM,
+    DyadicMetric,
     FullShift,
+    SymbolicPoint,
+    ToralAutomorphism,
     TorusPoint,
     distance,
     iterate,
@@ -153,6 +161,177 @@ def test_weighted_cloud_admission(weighted_shift, bern_half):
 
 
 # ---------------------------------------------------------------------------
+# array kernels against per-point reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_torus_candidates(sys, delta, back_horizon, budget, tol):
+    """The per-target greedy ladder loop, one Python step at a time."""
+    lam, e_u = _unstable_direction(np.array(sys.matrix, dtype=float))
+    s_max = 0.98 * delta * FIXED_DENOM
+    vecs, projs, perps = _lattice_ladder(sys, e_u, s_max)
+    perp_budget = (tol * FIXED_DENOM) / (lam**back_horizon) / 16.0
+    usable = [j for j in range(len(vecs)) if perps[j] <= perp_budget]
+    if not usable:
+        raise EmptyCloud(
+            "no lattice direction survives the admission tolerance: "
+            f"delta={delta} is below the backward-horizon resolution floor"
+        )
+    usable = [j for j in usable if abs(projs[j]) > 0]
+    order = sorted(usable, key=lambda j: -abs(projs[j]))
+    smallest = min(abs(projs[j]) for j in usable)
+    seen = set()
+    disp = []
+    for t in np.linspace(-s_max, s_max, budget):
+        s = float(t)
+        kx, ky = 0, 0
+        for j in order:
+            w = projs[j]
+            aw = abs(w)
+            while abs(s) >= aw and aw >= smallest:
+                sgn = 1 if (s > 0) == (w > 0) else -1
+                kx += sgn * vecs[j][0]
+                ky += sgn * vecs[j][1]
+                s -= sgn * w
+        if (kx, ky) not in seen:
+            seen.add((kx, ky))
+            disp.append((kx, ky))
+    return len(usable), disp
+
+
+@pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((4097, 4096), (1, 1))])
+@pytest.mark.parametrize("budget", [250, 600])
+def test_vector_ladder_matches_reference_loop(matrix, budget):
+    sys = ToralAutomorphism(matrix)
+    args = (sys, 0.05, 4, budget, 0.05 / 8)
+    levels_ref, disp_ref = _reference_torus_candidates(*args)
+    _, _, levels, disp = _torus_candidates(*args)
+    assert disp.dtype == np.int64
+    assert levels == levels_ref
+    assert [tuple(int(v) for v in row) for row in disp] == disp_ref
+
+
+def test_vector_ladder_matches_reference_failure():
+    # at back_horizon 40 the candidates still agree, and every nontrivial one
+    # of the 4097 matrix fails admission, with the message the per-point loop gave
+    sys = ToralAutomorphism(((4097, 4096), (1, 1)))
+    args = (sys, 0.05, 40, 1000, 0.05 / 8)
+    _, disp_ref = _reference_torus_candidates(*args)
+    assert [tuple(int(v) for v in row) for row in _torus_candidates(*args)[3]] == disp_ref
+    with pytest.raises(EmptyCloud) as err:
+        sample_unstable_set(sys, None, TorusPoint(0.25, 0.5), 0.05, back_horizon=40, budget=1000)
+    assert str(err.value) == "no nontrivial candidate survived admission; tightest failing n = 8"
+
+
+def _torus_cloud_of(ints):
+    ints = np.asarray(ints, dtype=np.int64)
+    return PointCloud(
+        rows=ints, base=None, delta=0.05, back_horizon=0, admission_tolerance=0.01,
+        kind="torus", admitted=len(ints), rejected=0,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_packed_torus_box_counts_match_unique_rows(cat, seed):
+    rng = np.random.default_rng(seed)
+    spread = rng.integers(0, FIXED_DENOM, size=(1500, 2))  # the whole torus
+    # a thin segment across the wrap-around, with repeated points
+    t = rng.integers(-(2**45), 2**45, size=1500)
+    segment = (np.stack([t, 3 * t // 5], axis=1) + 5) % FIXED_DENOM
+    segment[::7] = segment[0]
+    # 2^-40 boxes make 2^80 index pairs, past the int64 key: forces re-ranking
+    scales = [0.1, 0.01, 2.0**-20, 2.0**-33, 2.0**-40]
+    for ints in (spread, segment):
+        cloud = _torus_cloud_of(ints)
+        P = (ints % FIXED_DENOM) / FIXED_DENOM
+        for shift in (0.0, 0.25):
+            want = [
+                np.unique(np.floor((P + shift * eps) / eps).astype(np.int64), axis=0).shape[0]
+                for eps in scales
+            ]
+            assert _cloud_box_counts(cloud, cat, scales, origin_shift=shift) == want
+
+
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_packed_symbolic_box_counts_match_unique_rows(alphabet):
+    shift = FullShift(alphabet_size=alphabet)
+    rng = np.random.default_rng(alphabet)
+    lo, width = -100, 201
+    base = rng.integers(0, alphabet, size=width)
+    S = np.repeat(base[None, :], 600, axis=0)
+    # 150 free columns (more than 62 bits at radius 100), clustered words
+    free = np.arange(20, 170)
+    S[:, free] = rng.integers(0, alphabet, size=(600, free.size))
+    S[300:, free[:40]] = S[0, free[:40]]
+    # distinct rows that agree on the last 70 free columns: an unranked binary
+    # key keeps only the last 64 bits and would merge them
+    S[400:450, free[-70:]] = S[350:400, free[-70:]]
+    S[500:] = S[:100]
+    S = S.astype(np.int8)
+    cloud = PointCloud(
+        rows=S, base=None, delta=0.5, back_horizon=0, admission_tolerance=0.01,
+        kind="shift", admitted=len(S), rejected=0, lo=lo,
+    )
+    scales = [2.0**-k for k in (1, 5, 20, 40, 70, 100)]
+    want = []
+    for eps in scales:
+        k = _symbolic_box_radius(shift, eps)
+        want.append(np.unique(S[:, -k - lo : k - lo + 1], axis=0).shape[0])
+    assert _cloud_box_counts(cloud, shift, scales) == want
+    assert want[-1] == 500  # the deepest window separates every distinct row
+
+
+def _reference_dyadic_cloud_rows(sys, x, delta, back_horizon, budget, tol):
+    """Dyadic admission from the dense words x depth x (back_horizon + 1) tensor."""
+    a = sys.alphabet_size
+    m_delta = 0
+    while 2.0 ** (-m_delta) > delta:
+        m_delta += 1
+    m_delta = max(m_delta, 1)
+    side = 1 if not sys.inverted else -1
+    room = x.hi - m_delta + 1 if side == 1 else -m_delta - x.lo + 1
+    depth = 1
+    while a ** (depth + 1) <= budget and depth + 1 <= room:
+        depth += 1
+    words = np.array(
+        [[(w_ // a**j) % a for j in range(depth - 1, -1, -1)] for w_ in range(a**depth)],
+        dtype=np.int8,
+    )
+    if side == 1:
+        var_coords = np.arange(m_delta, m_delta + depth)
+    else:
+        var_coords = np.arange(-m_delta - depth + 1, -m_delta + 1)
+    diff = words != np.asarray(x.coords(list(var_coords)), dtype=np.int8)[None, :]
+    iis = np.arange(back_horizon + 1)
+    shifted = np.abs(var_coords[None, :, None] + side * iis[None, None, :])
+    big = np.where(diff[:, :, None], shifted, np.iinfo(np.int64).max)
+    nearest = big.min(axis=1).astype(float)
+    dists = np.where(nearest < 1e17, 2.0**-nearest, 0.0)
+    ok = (dists <= delta).all(axis=1) & (dists[:, -1] <= tol)
+    rows = []
+    for i in np.flatnonzero(ok):
+        syms = x.symbols.copy()
+        syms[var_coords - x.lo] = words[i]
+        rows.append(syms)
+    return np.stack(rows), len(words) - len(rows)
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("delta, tol", [(0.5, 2.0**-45), (0.2, 2.0**-49), (0.5, 0.0625)])
+def test_first_mismatch_admission_matches_dense_tensor(inverted, delta, tol):
+    shift = FullShift(alphabet_size=2, metric=DyadicMetric(), window=64, inverted=inverted)
+    x = sample_point(shift, BernoulliIID((0.5, 0.5)), 3, 1000)
+    rows_ref, rejected_ref = _reference_dyadic_cloud_rows(shift, x, delta, 40, 2048, tol)
+    cloud = sample_unstable_set(
+        shift, None, x, delta, back_horizon=40, budget=2048, admission_tolerance=tol
+    )
+    assert np.array_equal(cloud.rows, rows_ref)
+    assert cloud.rejected == rejected_ref
+    assert cloud.lo == x.lo
+    assert cloud.points[-1] == SymbolicPoint(rows_ref[-1], x.lo)
+
+
+# ---------------------------------------------------------------------------
 # box-counting dimension
 # ---------------------------------------------------------------------------
 
@@ -170,7 +349,7 @@ def test_torus_line_cloud_slope_near_one(cat, cat_cloud):
 
 def test_single_point_has_slope_zero(cat):
     cloud = PointCloud(
-        points=[TorusPoint(0.3, 0.4)], base=TorusPoint(0.3, 0.4), delta=0.05,
+        rows=np.array([TorusPoint(0.3, 0.4).ints()]), base=TorusPoint(0.3, 0.4), delta=0.05,
         back_horizon=0, admission_tolerance=0.01, kind="torus", admitted=1, rejected=0,
     )
     est = box_counting_dimension(cloud, [0.01, 0.005, 0.0025, 0.00125], sys=cat)
@@ -191,7 +370,7 @@ def test_symbolic_counts_are_powers_of_two(shift_cloud):
 def test_too_few_points(cat):
     pts = [TorusPoint(0.1 * i, 0.2) for i in range(5)]
     cloud = PointCloud(
-        points=pts, base=pts[0], delta=0.05, back_horizon=0,
+        rows=np.array([p.ints() for p in pts]), base=pts[0], delta=0.05, back_horizon=0,
         admission_tolerance=0.01, kind="torus", admitted=5, rejected=0,
     )
     with pytest.raises(TooFewPoints):
@@ -208,7 +387,7 @@ def test_too_few_scales_above_floor(shift_cloud):
 
 def test_empty_cloud_rejected(cat):
     cloud = PointCloud(
-        points=[], base=None, delta=0.05, back_horizon=0,
+        rows=np.empty((0, 2), dtype=np.int64), base=None, delta=0.05, back_horizon=0,
         admission_tolerance=0.01, kind="torus", admitted=0, rejected=10,
     )
     with pytest.raises(EmptyCloud):

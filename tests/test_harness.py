@@ -106,6 +106,46 @@ def test_schedule_direction_validation():
         ExperimentConfig.from_dict({"task": "chi", "seed": 0, "points": 0})
 
 
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"task": "hamming-bounds", "seed": True}, "seed"),
+        ({"task": "hamming-bounds", "seed": False}, "seed"),
+        ({"task": "chi", "seed": 0, "threads": True}, "threads"),
+        ({"task": "entropy", "seed": 0, "window": True}, "window"),
+        ({"task": "chi", "seed": 0, "points": True}, "points"),
+        ({"task": "chi", "seed": 0, "probes": True}, "probes"),
+        ({"task": "entropy", "seed": 0, "samples": True}, "samples"),
+        ({"task": "smb-check", "seed": 0, "paths": True}, "paths"),
+        ({"task": "partition-build", "seed": 0, "pairs": True}, "pairs"),
+        ({"task": "verify", "seed": 0, "cloud_budget": True}, "cloud_budget"),
+        ({"task": "verify", "seed": 0, "base_points": True}, "base_points"),
+    ],
+)
+def test_bools_are_not_integers(raw, field):
+    with pytest.raises(ConfigInvalid, match=f"field '{field}'"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "task, field, value",
+    [
+        ("chi", "n_schedule", []),
+        ("chi", "n_schedule", "2,4,6"),
+        ("chi", "n_schedule", None),
+        ("chi", "r_schedule", 0.2),
+        ("chi", "r_schedule", [0.2, "0.1"]),
+        ("brin-katok", "eps_schedule", []),
+        ("dimension", "scales", {"0.1": 1}),
+        ("hamming-bounds", "n_values", [12, True]),
+        ("appendix-hilbert", "norm_ks", []),
+    ],
+)
+def test_malformed_schedules_rejected(task, field, value):
+    with pytest.raises(ConfigInvalid, match=f"field '{field}': expected a non-empty list of numbers"):
+        ExperimentConfig.from_dict({"task": task, "seed": 0, field: value})
+
+
 def test_mode_and_direction_validation():
     with pytest.raises(ConfigInvalid, match="mode"):
         ExperimentConfig.from_dict({"task": "brin-katok", "seed": 0, "mode": "exact"})
