@@ -80,13 +80,18 @@ class LipschitzEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _torus_probe_ratios(sys, r, ns, probes, rng):
-    """Displacement-route ratios for linear torus maps.
+# probe rows per vector pass of the batched torus route: large enough to
+# amortize numpy's per-call cost, small enough to keep peak memory flat
+_TORUS_BLOCK_ROWS = 8192
 
-    Returns (accepted[probes, len(ns)], ratios[probes, len(ns)]).
+
+def _torus_ratios_from_draws(sys, r, ns, u):
+    """Displacement-route ratios for linear torus maps, from uniform draws u[rows, 2].
+
+    Each row is one probe and is evaluated independently of the others.
+    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
     """
     floor = max(resolution_floor(sys), 1e-12 * r)
-    u = rng.random((probes, 2))
     mags = floor * (r / floor) ** u[:, 0]  # log-uniform across scales in [floor, r)
     angles = 2.0 * math.pi * u[:, 1]
     v = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
@@ -99,8 +104,8 @@ def _torus_probe_ratios(sys, r, ns, probes, rng):
     w = v.copy()
     d0 = _torus_norm_rows(v)
     run_max = d0.copy()  # max_{0<=k<=j} d_k, starting at k=0
-    accepted = np.zeros((probes, len(ns)), dtype=bool)
-    ratios = np.zeros((probes, len(ns)))
+    accepted = np.zeros((len(u), len(ns)), dtype=bool)
+    ratios = np.zeros((len(u), len(ns)))
     col = {n: j for j, n in enumerate(ns)}
     for k in range(1, n_max + 1):
         w = w @ A.T
@@ -167,13 +172,7 @@ def _shift_probe_ratios(sys: FullShift, x: SymbolicPoint, r, ns, probes, rng):
     ratios = np.zeros((probes, len(ns)))
     diff = symbols != np.broadcast_to(x.symbols, symbols.shape)
     if isinstance(sys.metric, DyadicMetric):
-        coords = np.arange(x.lo, x.hi + 1)
-        # nearest[j] = min |i - j| over mismatch coords i, for j = 0..n_max
-        nearest = np.full((probes, n_max + 1), np.inf)
-        for j in range(n_max + 1):
-            dist_j = np.where(diff, np.abs(coords[None, :] - j), np.inf)
-            nearest[:, j] = dist_j.min(axis=1)
-        d = 2.0 ** (-nearest)
+        d = 2.0 ** (-_nearest_mismatch(diff, x.lo, n_max))
         d0 = d[:, 0]
     else:
         w = sys.metric.weights
@@ -199,9 +198,39 @@ def _shift_probe_ratios(sys: FullShift, x: SymbolicPoint, r, ns, probes, rng):
     return accepted, ratios
 
 
+def _nearest_mismatch(diff: np.ndarray, lo: int, n_max: int) -> np.ndarray:
+    """nearest[p, j] = min |i - j| over coords i with diff[p, i], for j = 0..n_max.
+
+    ``diff`` covers coords lo..hi (lo < 0); rows without a mismatch read inf.
+    One linear scan per row: the last mismatch left of coordinate 0 and the
+    first one right of n_max seed a running max (from the left) and a running
+    min (from the right) over the columns 0..n_max.  Every entry is an exact
+    integer, so ``2.0 ** -nearest`` matches a per-j minimum bit for bit.
+    """
+    probes = diff.shape[0]
+    c0 = -lo  # column of coordinate 0
+    cut = min(c0 + n_max + 1, diff.shape[1])  # columns past coordinate n_max start here
+    mid = np.zeros((probes, n_max + 1), dtype=bool)
+    mid[:, : cut - c0] = diff[:, c0:cut]
+    j = np.arange(n_max + 1, dtype=float)
+    left_side = diff[:, :c0][:, ::-1]  # coords -1, -2, ..., lo
+    last_left = np.where(left_side.any(axis=1), -1.0 - left_side.argmax(axis=1), -np.inf)
+    right_side = diff[:, cut:]
+    first_right = np.full(probes, np.inf)
+    if right_side.shape[1]:
+        first_right = np.where(right_side.any(axis=1), cut - c0 + right_side.argmax(axis=1), np.inf)
+    left = np.maximum.accumulate(
+        np.concatenate([last_left[:, None], np.where(mid, j, -np.inf)], axis=1), axis=1
+    )[:, 1:]
+    right = np.minimum.accumulate(
+        np.concatenate([first_right[:, None], np.where(mid, j, np.inf)[:, ::-1]], axis=1), axis=1
+    )[:, :0:-1]
+    return np.minimum(j - left, right - j)
+
+
 def _probe_ratios(sys, x, r, ns, probes, rng):
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
-        return _torus_probe_ratios(sys, r, ns, probes, rng)
+        return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
     if isinstance(sys, FullShift):
         return _shift_probe_ratios(sys, x, r, ns, probes, rng)
     if isinstance(sys, ProductSystem):
@@ -275,13 +304,29 @@ def lipschitz_table(
     ns = [int(n) for n in n_schedule]
     values = np.full((len(points), len(ns)), np.nan)
     accepted_counts = np.zeros((len(points), len(ns)), dtype=int)
+
+    def record(rows, acc, rat):
+        # acc, rat: (points in rows, probes, len(ns))
+        accepted_counts[rows] = acc.sum(axis=1)
+        values[rows] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
+
+    if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
+        # the torus kernel ignores x: stack the per-point draws and evaluate
+        # them in blocks, one vector pass per block
+        per_block = max(1, _TORUS_BLOCK_ROWS // probes)
+        for start in range(0, len(points), per_block):
+            stop = min(start + per_block, len(points))
+            u = np.concatenate(
+                [rng_for(seed, r_tag, first_index + i).random((probes, 2)) for i in range(start, stop)]
+            )
+            acc, rat = _torus_ratios_from_draws(sys, r, ns, u)
+            shape = (stop - start, probes, len(ns))
+            record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
+        return values, accepted_counts
     for i, x in enumerate(points):
         rng = rng_for(seed, r_tag, first_index + i)
         acc, rat = _probe_ratios(sys, x, r, ns, probes, rng)
-        any_acc = acc.any(axis=0)
-        accepted_counts[i] = acc.sum(axis=0)
-        vals = np.where(any_acc, rat.max(axis=0), np.nan)
-        values[i] = vals
+        record(slice(i, i + 1), acc[None], rat[None])
     return values, accepted_counts
 
 

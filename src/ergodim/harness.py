@@ -135,6 +135,10 @@ class ExperimentConfig:
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
         oracle = raw.get("oracle", _default_oracle(system))
         _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
+        try:
+            build_oracle(oracle)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"field 'oracle': {exc}") from exc
         options = {k: raw[k] for k in raw if k not in _COMMON_KEYS}
         _validate_schedules(task, options)
         window = raw.get("window")
@@ -201,11 +205,14 @@ def _validate_schedules(task: str, options: dict):
 
     decreasing("r_schedule")
     decreasing("eps_schedule")
+    eps = options.get("eps_schedule")
+    if eps is not None and not all(0.0 < e <= 1.0 for e in eps):
+        raise ConfigInvalid(f"field 'eps_schedule': every eps must lie in (0, 1], got {eps}")
     decreasing("scales")
     increasing("n_schedule")
     increasing("n_values")
     increasing("norm_ks")
-    for name in ("points", "probes", "samples", "paths", "pairs", "cloud_budget", "base_points"):
+    for name in ("n", "points", "probes", "samples", "paths", "pairs", "cloud_budget", "base_points"):
         v = options.get(name)
         if v is not None and (not _is_int(v) or v < 1):
             raise ConfigInvalid(f"field '{name}': expected a positive integer, got {v!r}")

@@ -56,6 +56,29 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
     assert "field 'n_schedule': expected a non-empty list of numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"task": "entropy", "seed": 0, "n": 2.5}, "field 'n': expected a positive integer"),
+        (
+            {"task": "entropy", "seed": 0,
+             "oracle": {"kind": "markov", "transitions": [[0.9, 0.3], [0.4, 0.6]]}},
+            "field 'oracle': transition rows must be distributions",
+        ),
+        (
+            {"task": "brin-katok", "seed": 0, "eps_schedule": [1.5, 0.45]},
+            "field 'eps_schedule': every eps must lie in (0, 1]",
+        ),
+    ],
+)
+def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):
+    cfg = config_file(doc)
+    rc = main([doc["task"], "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_task_mismatch_exits_one(tmp_path, config_file, capsys):
     cfg = config_file({"task": "entropy", "seed": 0})
     rc = main(["chi", "--config", cfg, "--out", str(tmp_path / "out")])

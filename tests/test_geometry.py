@@ -12,7 +12,11 @@ import pytest
 
 from ergodim.errors import NoProbeAccepted, ScaleUnderflow
 from ergodim.geometry import (
+    _TORUS_BLOCK_ROWS,
     InclusionReport,
+    _nearest_mismatch,
+    _probe_ratios,
+    _shift_probe_symbols,
     bowen_ball_contains,
     check_ball_inclusion,
     estimate_pointwise_lipschitz,
@@ -207,6 +211,105 @@ def test_lipschitz_table_marks_empty_cells(dyadic_shift, bern_half):
     values, accepted = lipschitz_table(dyadic_shift, xs, r=0.25, n_schedule=[1, 2], probes=64, seed=5)
     assert values.shape == (4, 2)
     assert np.isfinite(values).all()
+    assert (accepted > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against their per-column / per-point references
+# ---------------------------------------------------------------------------
+
+
+def _nearest_reference(diff, lo, n_max):
+    """The per-j minimum the dyadic probe route used to build: one pass per j."""
+    coords = np.arange(lo, lo + diff.shape[1])
+    nearest = np.full((diff.shape[0], n_max + 1), np.inf)
+    for j in range(n_max + 1):
+        dist_j = np.where(diff, np.abs(coords[None, :] - j), np.inf)
+        nearest[:, j] = dist_j.min(axis=1)
+    return nearest
+
+
+def _assert_nearest_matches(diff, lo, n_max):
+    got = _nearest_mismatch(diff, lo, n_max)
+    want = _nearest_reference(diff, lo, n_max)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, inf included
+    assert (2.0 ** -got).tobytes() == (2.0 ** -want).tobytes()
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+def test_nearest_mismatch_matches_reference_on_probes(bern_half, inverted):
+    sys = FullShift(alphabet_size=2, inverted=inverted)
+    for s in range(3):
+        x = sample_point(sys, bern_half, 50 + s)
+        for k_lo, n_max in ((3, 1), (3, 8), (5, 24)):
+            symbols, _ = _shift_probe_symbols(x, sys, k_lo, k_lo + n_max + 16, rng_for(9, s), 96)
+            _assert_nearest_matches(symbols != x.symbols, x.lo, n_max)
+
+
+def test_nearest_mismatch_matches_reference_on_edge_rows():
+    lo, width, n_max = -10, 21, 6  # coords -10..10
+    rows = []
+    for marks in (
+        [3],  # inside [0, n_max] only
+        [0, n_max],  # at both ends of [0, n_max]
+        [2, 4, -7, 9],  # inside and on both sides
+        [-1],  # left side only
+        [-10],  # far left only
+        [n_max + 1],  # right side only
+        [10],  # far right only
+        [],  # no mismatch at all
+    ):
+        row = np.zeros(width, dtype=bool)
+        row[np.asarray(marks, dtype=int) - lo] = True
+        rows.append(row)
+    diff = np.array(rows)
+    _assert_nearest_matches(diff, lo, n_max)
+    got = _nearest_mismatch(diff, lo, n_max)
+    assert np.isinf(got[-1]).all()
+    assert np.isfinite(got[:-1]).all()
+    rng = np.random.default_rng(4)
+    for density in (0.01, 0.1, 0.5):
+        _assert_nearest_matches(rng.random((64, width)) < density, lo, n_max)
+
+
+def test_nearest_mismatch_past_a_small_window(bern_half):
+    # window = 8 stores coords -8..8, so n_max = 12 reaches past x.hi; the
+    # distances there stay finite, measured from the last stored mismatch
+    sys = FullShift(alphabet_size=2, window=8)
+    x = sample_point(sys, bern_half, 3)
+    assert x.hi == 8
+    symbols, _ = _shift_probe_symbols(x, sys, 2, 7, rng_for(2), 64)
+    diff = symbols != x.symbols
+    for n_max in (8, 9, 12, 20):
+        _assert_nearest_matches(diff, x.lo, n_max)
+    assert np.isfinite(_nearest_mismatch(diff, x.lo, 12)).all()
+    values, accepted = lipschitz_table(sys, [x], r=0.25, n_schedule=[2, 12], probes=64, seed=1)
+    assert np.isfinite(values).all() and (accepted > 0).all()
+
+
+def _table_reference(sys, points, r, ns, probes, seed, r_tag, first_index):
+    """lipschitz_table as a per-point loop over _probe_ratios."""
+    values = np.full((len(points), len(ns)), np.nan)
+    counts = np.zeros((len(points), len(ns)), dtype=int)
+    for i, x in enumerate(points):
+        acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(seed, r_tag, first_index + i))
+        counts[i] = acc.sum(axis=0)
+        values[i] = np.where(acc.any(axis=0), rat.max(axis=0), np.nan)
+    return values, counts
+
+
+@pytest.mark.parametrize("system", ["cat", "translation"])
+@pytest.mark.parametrize("probes, first_index", [(64, 0), (100, 17)])
+def test_torus_blocks_match_per_point_loop(request, lebesgue, system, probes, first_index):
+    sys = request.getfixturevalue(system)
+    per_block = _TORUS_BLOCK_ROWS // probes
+    xs = [sample_point(sys, lebesgue, 12, i) for i in range(per_block + 3)]  # straddles a block
+    args = (sys, xs, 0.1, [1, 4, 8], probes, 6, 2, first_index)
+    values, accepted = lipschitz_table(*args)
+    want_values, want_accepted = _table_reference(*args)
+    assert values.tobytes() == want_values.tobytes()
+    np.testing.assert_array_equal(accepted, want_accepted)
     assert (accepted > 0).all()
 
 

@@ -146,6 +146,35 @@ def test_malformed_schedules_rejected(task, field, value):
         ExperimentConfig.from_dict({"task": task, "seed": 0, field: value})
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"task": "entropy", "seed": 0, "n": 2.5}, "field 'n': expected a positive integer"),
+        ({"task": "entropy", "seed": 0, "n": 0}, "field 'n': expected a positive integer"),
+        (
+            {"task": "entropy", "seed": 0,
+             "oracle": {"kind": "markov", "transitions": [[0.9, 0.3], [0.4, 0.6]]}},
+            "field 'oracle': transition rows must be distributions",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "oracle": {"kind": "bernoulli", "probs": [0.3, 0.3]}},
+            "field 'oracle': probs must be a distribution",
+        ),
+        (
+            {"task": "brin-katok", "seed": 0, "eps_schedule": [1.5, 0.45]},
+            "field 'eps_schedule': every eps must lie in \\(0, 1\\]",
+        ),
+        (
+            {"task": "brin-katok", "seed": 0, "eps_schedule": [0.5, 0.0]},
+            "field 'eps_schedule': every eps must lie in \\(0, 1\\]",
+        ),
+    ],
+)
+def test_values_the_runners_reject_are_config_errors(raw, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_mode_and_direction_validation():
     with pytest.raises(ConfigInvalid, match="mode"):
         ExperimentConfig.from_dict({"task": "brin-katok", "seed": 0, "mode": "exact"})
