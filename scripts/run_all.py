@@ -20,54 +20,12 @@ from ergodim.cli import main as cli_main  # noqa: E402
 from ergodim.harness import TASKS  # noqa: E402
 
 
-def headline(task: str, payload: dict) -> str:
-    if task == "chi":
-        return f"chi = {payload['chi']:.6f} from {payload['sample_count']} points"
-    if task == "entropy":
-        return (f"rate = {payload['value']:.6f} vs closed form "
-                f"{payload['closed_form_rate']:.6f} (n = {payload['n']})")
-    if task == "brin-katok":
-        if payload.get("hit_starvation"):
-            return "hit starvation (see flags)"
-        extra = payload.get("extrapolated")
-        tail = f", intercept {extra:.6f}" if isinstance(extra, float) else ""
-        return f"lower {payload['lower']:.4f} <= upper {payload['upper']:.4f}{tail}"
-    if task == "partition-build":
-        return (f"translation times {payload['plan']['ks']}, sup surplus "
-                f"{payload['sup_c']:.6f}, atom violations "
-                f"{payload['atom_check']['violations']}")
-    if task == "smb-check":
-        line = f"pathwise rate rel err {payload['rel_error']:.2e}"
-        if "shift_lemma" in payload:
-            line += f", shifted-block gap {payload['shift_lemma']['rel_gap']:.2e}"
-        return line
-    if task == "dimension":
-        return (f"box slope {payload['slope']:.4f} from {payload['admitted']} "
-                f"admitted points")
-    if task == "verify":
-        if payload["regime"] == "divergence":
-            return (f"chi below floor; cover slopes strictly increasing = "
-                    f"{payload['divergence']['strictly_increasing']}")
-        return (f"dim {payload['dim']:.4f} vs h/chi {payload['ratio']:.4f}, "
-                f"slack {payload['slack']:+.4f}, holds = {payload['holds']}")
-    if task == "appendix-hilbert":
-        return (f"chi = {payload['chi']:.4f}, norm rate at k = "
-                f"{payload['norm_ks'][-1]} is {payload['rate_at_max_k']:.4f}, "
-                f"cover increasing = {payload['cover']['strictly_increasing']}")
-    if task == "hamming-bounds":
-        rows = payload["rows"]
-        return (f"{len(rows)} sizes checked, stirling holds for all = "
-                f"{all(r['stirling_holds'] for r in rows)}, crude failures "
-                f"{payload['crude_failures']}")
-    return "done"
-
-
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--configs", type=Path, default=Path("configs"))
     ap.add_argument("--out", type=Path, default=Path("reports"))
     ap.add_argument("--only", nargs="*", choices=TASKS, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     tasks = args.only if args.only else list(TASKS)
     worst = 0
@@ -83,7 +41,7 @@ def main() -> int:
             worst = 2
         if rc != 1:
             doc = json.loads((args.out / f"{task}.json").read_text())
-            print(f"    {headline(task, doc['payload'])}")
+            print(f"    {TASKS[task].headline(doc['payload'])}")
     return worst
 
 

@@ -44,7 +44,6 @@ from .measures import (
     ConditionalShiftOracle,
     LebesgueTorus,
     MarkovStationary,
-    ProductMeasure,
     cylinder_measure,
     entropy_rate,
     fixed_coords_log_measure,
@@ -74,7 +73,6 @@ from .partitions import (
 )
 from .systems import (
     FullShift,
-    ProductSystem,
     SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,

@@ -46,13 +46,18 @@ from .systems import (
     ToralAutomorphism,
     TorusPoint,
     WeightedL2Metric,
+    cylinder_depth,
+    dyadic_depth,
     invert,
+    one_sided_depth,
     resolution_floor,
 )
 
 __all__ = [
     "PointCloud",
     "DimensionEstimate",
+    "default_delta",
+    "default_scales",
     "sample_unstable_set",
     "box_counting_dimension",
     "local_dimension_lower",
@@ -277,16 +282,9 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
 def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget, tol, seed):
     a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
-        m_delta = 0
-        while 2.0 ** (-m_delta) > delta:
-            m_delta += 1
+        m_delta = dyadic_depth(delta)
     else:
-        w = sys.metric.weights
-        m_delta = 0
-        while (a - 1) * math.sqrt(max(w.total - math.fsum(w.a(k) for k in range(m_delta)), 0.0)) > delta:
-            m_delta += 1
-            if m_delta > sys.window:
-                break
+        m_delta = one_sided_depth(sys.metric.weights, a, delta, sys.window)
     m_delta = max(m_delta, 1)
     side = 1 if not sys.inverted else -1
     # forward shifts expand futures: vary coordinates >= m_delta; inverted
@@ -358,6 +356,18 @@ def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget
     )
 
 
+def default_delta(sys) -> float:
+    """Local unstable set radius used when none is given."""
+    return 0.05 if isinstance(sys, ToralAutomorphism) else 0.5
+
+
+def default_scales(sys, delta: float) -> list:
+    """Box-counting scales used when none are given: six octaves from delta/4, or 2^-2..2^-9."""
+    if isinstance(sys, ToralAutomorphism):
+        return [delta * 2.0 ** (-j) for j in range(2, 8)]
+    return [2.0 ** (-k) for k in range(2, 10)]
+
+
 def sample_unstable_set(
     sys,
     oracle,
@@ -394,17 +404,11 @@ def sample_unstable_set(
 def _symbolic_box_radius(sys: FullShift, eps: float) -> int:
     """Smallest window radius whose cylinders have diameter <= eps."""
     if isinstance(sys.metric, DyadicMetric):
-        k = 0
-        while 2.0 ** (-k) > eps:
-            k += 1
-        return k
-    w = sys.metric.weights
-    a = sys.alphabet_size
-    k = 0
-    while (a - 1) * math.sqrt(2.0 * w.tail_sum(k)) > eps:
-        k += 1
-        if k > 10 * sys.window:
-            raise ValueError(f"scale {eps} below the weighted-metric resolution")
+        return dyadic_depth(eps)
+    limit = 10 * sys.window
+    k = cylinder_depth(sys.metric.weights, sys.alphabet_size, eps, limit)
+    if k > limit:
+        raise ValueError(f"scale {eps} below the weighted-metric resolution")
     return k
 
 
@@ -607,15 +611,10 @@ def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4, base_s
     """
     a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
-        m_delta = 0
-        while 2.0 ** (-m_delta) > delta:
-            m_delta += 1
+        m_delta = max(dyadic_depth(delta), 1)
     else:
-        w = sys.metric.weights
-        m_delta = 0
-        while (a - 1) * math.sqrt(2.0 * w.tail_sum(m_delta - 1 if m_delta else 0)) > delta and m_delta < 10_000:
-            m_delta += 1
-    m_delta = max(m_delta, 1)
+        # the first coordinate past the delta-cylinder's radius, at most 10_000
+        m_delta = cylinder_depth(sys.metric.weights, a, delta, 9_998) + 1
     eps0 = base_scale if base_scale is not None else delta / 2.0
     scales = [eps0 * 2.0 ** (-j) for j in range(octaves + 1)]
     if isinstance(sys.metric, DyadicMetric):
@@ -753,7 +752,7 @@ def verify_main_inequality(
     chi = chi_est.value
 
     if delta is None:
-        delta = 0.05 if isinstance(work_sys, ToralAutomorphism) else 0.5
+        delta = default_delta(work_sys)
 
     if chi <= chi_floor:
         if not isinstance(work_sys, FullShift):
@@ -779,10 +778,7 @@ def verify_main_inequality(
         )
 
     if scales is None:
-        if isinstance(work_sys, ToralAutomorphism):
-            scales = [delta * 2.0 ** (-j) for j in range(2, 8)]
-        else:
-            scales = [2.0 ** (-k) for k in range(2, 10)]
+        scales = default_scales(work_sys, delta)
 
     slopes = []
     mass_liminfs = []

@@ -26,14 +26,13 @@ from .errors import NoProbeAccepted, ScaleUnderflow
 from .systems import (
     DyadicMetric,
     FullShift,
-    ProductSystem,
     SymbolicPoint,
     SystemDescriptor,
     ToralAutomorphism,
     TorusTranslation,
-    WeightedL2Metric,
     distance,
     iterate,
+    open_flip_depth,
     resolution_floor,
 )
 from .measures import rng_for
@@ -148,17 +147,7 @@ def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, prob
 def _shift_probe_ratios(sys: FullShift, x: SymbolicPoint, r, ns, probes, rng):
     """Flip-route ratios for full shifts (dyadic or weighted metric)."""
     n_max = max(ns)
-    if isinstance(sys.metric, DyadicMetric):
-        k_lo = int(math.floor(math.log2(1.0 / r))) + 1
-        while 2.0 ** (-k_lo) >= r:
-            k_lo += 1
-    else:
-        # smallest flip depth whose worst-case weighted distance is below r
-        k_lo = 1
-        from .systems import weighted_tail_bound
-
-        while weighted_tail_bound(sys.metric.weights, k_lo - 1) >= r and k_lo < sys.window:
-            k_lo += 1
+    k_lo = open_flip_depth(sys, r)
     # flips surviving Bowen membership through time n sit at depth >= n + k_lo,
     # so the draw range must extend past n_max + k_lo (within the stored window)
     k_hi = min(x.hi - 1, -x.lo - 1, k_lo + n_max + 16)
@@ -233,8 +222,6 @@ def _probe_ratios(sys, x, r, ns, probes, rng):
         return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
     if isinstance(sys, FullShift):
         return _shift_probe_ratios(sys, x, r, ns, probes, rng)
-    if isinstance(sys, ProductSystem):
-        raise NotImplementedError("Lipschitz probing for product systems is not implemented")
     raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
 
 
@@ -453,16 +440,7 @@ def _torus_inclusion_sample(sys, radius, eps, n, probes, rng):
 def _shift_inclusion_sample(sys, x, radius, eps, n, probes, rng):
     violations = 0
     witness = None
-    if isinstance(sys.metric, DyadicMetric):
-        k_lo = int(math.floor(math.log2(1.0 / radius))) + 1
-        while 2.0 ** (-k_lo) >= radius:
-            k_lo += 1
-    else:
-        from .systems import weighted_tail_bound
-
-        k_lo = 1
-        while weighted_tail_bound(sys.metric.weights, k_lo - 1) >= radius and k_lo < sys.window:
-            k_lo += 1
+    k_lo = open_flip_depth(sys, radius)
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow("no flip depth available inside the window at this radius")

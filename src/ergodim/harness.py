@@ -4,14 +4,19 @@ A config is a flat JSON object naming a task, a seed, a system and an oracle,
 plus task-specific schedules and budgets.  Unknown keys are errors.  Reports
 carry the numeric payload separately from wall-clock metadata so that
 re-running a config byte-reproduces the payload.
+
+Everything the harness knows about a task lives in its ``TaskSpec`` entry of
+``TASKS``: option defaults, runner, CSV table, headline and default system.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +25,15 @@ import numpy as np
 from . import __version__
 from .dimension import (
     box_counting_dimension,
+    default_delta,
+    default_scales,
     local_dimension_lower,
     sample_unstable_set,
     unstable_cover_counts,
     verify_main_inequality,
 )
 from .entropy import block_entropy_rate, brin_katok_local
-from .errors import ConfigInvalid, ErgodimError, HitStarvation, TaskFailed
+from .errors import ConfigInvalid, ErgodimError, HitStarvation, NonInvertible, TaskFailed
 from .lyapunov import estimate_chi
 from .measures import (
     BernoulliIID,
@@ -54,39 +61,9 @@ from .systems import (
     operator_norm_power,
 )
 
-__all__ = ["ExperimentConfig", "Report", "run_experiment", "emit_report", "TASKS"]
-
-TASKS = (
-    "chi",
-    "entropy",
-    "brin-katok",
-    "partition-build",
-    "smb-check",
-    "dimension",
-    "verify",
-    "appendix-hilbert",
-    "hamming-bounds",
-)
+__all__ = ["ExperimentConfig", "Report", "TaskSpec", "run_experiment", "emit_report", "TASKS"]
 
 _COMMON_KEYS = {"task", "seed", "system", "oracle", "threads", "window"}
-_TASK_KEYS = {
-    "chi": {"r_schedule", "n_schedule", "points", "probes"},
-    "entropy": {"n", "mode", "samples", "alpha_window"},
-    "brin-katok": {"eps_schedule", "n_schedule", "mode", "samples", "min_hits", "point_index"},
-    "partition-build": {
-        "delta", "depth", "past_depth", "k_max", "margin", "horizon", "pairs", "point_index",
-    },
-    "smb-check": {"n_schedule", "past_depth", "paths", "point_index", "shift_k"},
-    "dimension": {
-        "delta", "scales", "back_horizon", "cloud_budget", "point_index", "admission_tolerance",
-    },
-    "verify": {
-        "direction", "delta", "base_points", "scales", "r_schedule", "n_schedule",
-        "chi_points", "chi_probes", "chi_floor", "back_horizon", "cloud_budget", "past_depth",
-    },
-    "appendix-hilbert": {"norm_ks", "n_schedule", "r_schedule", "delta", "octaves", "points", "probes"},
-    "hamming-bounds": {"eps", "alphabet", "n_values"},
-}
 _SYSTEM_KEYS = {
     "toral_automorphism": {"kind", "matrix"},
     "torus_translation": {"kind", "shift"},
@@ -99,8 +76,26 @@ _ORACLE_KEYS = {
 }
 
 
+@dataclass(frozen=True)
+class TaskSpec:
+    """One task: its options and their defaults, how to run and summarise it.
+
+    A default of None is resolved by the runner from the system (for example
+    the box-counting scales); the report's config echo shows it as null.
+    """
+
+    defaults: dict  # option name -> default; the keys are the task's config keys
+    run: Callable  # ExperimentConfig -> (payload, parameters, flags)
+    table: Callable  # payload -> (CSV header, CSV rows)
+    headline: Callable  # payload -> one-line summary
+    system: dict  # system descriptor used when the config names none
+    modes: tuple = ()  # allowed values of the 'mode' option
+
+
 @dataclass
 class ExperimentConfig:
+    """A validated config; ``options`` holds every option of the task, defaults filled in."""
+
     task: str
     seed: int
     system: dict
@@ -116,7 +111,8 @@ class ExperimentConfig:
         task = raw.get("task")
         if task not in TASKS:
             raise ConfigInvalid(f"field 'task': expected one of {sorted(TASKS)}, got {task!r}")
-        allowed = _COMMON_KEYS | _TASK_KEYS[task]
+        spec = TASKS[task]
+        allowed = _COMMON_KEYS | set(spec.defaults)
         unknown = sorted(set(raw) - allowed)
         if unknown:
             raise ConfigInvalid(
@@ -131,38 +127,33 @@ class ExperimentConfig:
         threads = raw.get("threads", 1)
         if not _is_int(threads) or threads < 1:
             raise ConfigInvalid(f"field 'threads': expected a positive integer, got {threads!r}")
-        system = raw.get("system", _default_system(task))
-        _validate_descriptor(system, _SYSTEM_KEYS, "system")
-        oracle = raw.get("oracle", _default_oracle(system))
-        _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
-        try:
-            build_oracle(oracle)
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"field 'oracle': {exc}") from exc
-        options = {k: raw[k] for k in raw if k not in _COMMON_KEYS}
-        _validate_schedules(task, options)
         window = raw.get("window")
         if window is not None and (not _is_int(window) or window < 8):
             raise ConfigInvalid(f"field 'window': expected an integer >= 8, got {window!r}")
+        system = raw.get("system", dict(spec.system))
+        _validate_descriptor(system, _SYSTEM_KEYS, "system")
+        oracle = raw.get("oracle", _default_oracle(system))
+        _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
+        # build both once, so constructor errors surface here as config errors
+        for label, build in (
+            ("system", lambda: build_system(system, window)),
+            ("oracle", lambda: build_oracle(oracle)),
+        ):
+            try:
+                build()
+            except (TypeError, ValueError, NonInvertible) as exc:
+                raise ConfigInvalid(f"field '{label}': {exc}") from exc
+        options = {k: raw[k] for k in raw if k not in _COMMON_KEYS}
+        _validate_options(spec, options)
         return ExperimentConfig(
             task=task, seed=seed, system=system, oracle=oracle,
-            options=options, threads=threads, window=window,
+            options={**spec.defaults, **options}, threads=threads, window=window,
         )
 
 
 def _is_int(v) -> bool:
     """An integer that is not a bool (``bool`` subclasses ``int``)."""
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _default_system(task: str) -> dict:
-    if task in ("appendix-hilbert",):
-        return {"kind": "full_shift", "alphabet": 2, "metric": "weighted"}
-    if task in ("hamming-bounds",):
-        return {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"}
-    if task in ("chi", "dimension", "verify"):
-        return {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]]}
-    return {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"}
 
 
 def _default_oracle(system: dict) -> dict:
@@ -182,7 +173,7 @@ def _validate_descriptor(desc, table, label):
         raise ConfigInvalid(f"unknown key(s) in '{label}': {', '.join(unknown)}")
 
 
-def _validate_schedules(task: str, options: dict):
+def _validate_options(spec: TaskSpec, options: dict):
     def schedule(name):
         s = options.get(name)
         if name in options and (
@@ -216,13 +207,9 @@ def _validate_schedules(task: str, options: dict):
         v = options.get(name)
         if v is not None and (not _is_int(v) or v < 1):
             raise ConfigInvalid(f"field '{name}': expected a positive integer, got {v!r}")
-    allowed_modes = {
-        "entropy": ("auto", "exact", "monte_carlo"),
-        "brin-katok": ("exact_cylinder", "monte_carlo"),
-    }.get(task)
     mode = options.get("mode")
-    if mode is not None and allowed_modes is not None and mode not in allowed_modes:
-        raise ConfigInvalid(f"field 'mode': expected one of {list(allowed_modes)}, got {mode!r}")
+    if "mode" in options and mode not in spec.modes:
+        raise ConfigInvalid(f"field 'mode': expected one of {list(spec.modes)}, got {mode!r}")
     direction = options.get("direction")
     if direction is not None and direction not in ("forward", "backward"):
         raise ConfigInvalid(f"field 'direction': expected 'forward' or 'backward', got {direction!r}")
@@ -307,11 +294,8 @@ def _shift_window_for(cfg: ExperimentConfig, need: int) -> int:
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Dispatch a validated config and assemble the deterministic report."""
     t0 = time.perf_counter()
-    runner = _RUNNERS.get(cfg.task)
-    if runner is None:  # pragma: no cover - from_dict already validates
-        raise ConfigInvalid(f"unknown task {cfg.task!r}")
     try:
-        payload, parameters, flags = runner(cfg)
+        payload, parameters, flags = TASKS[cfg.task].run(cfg)
     except ConfigInvalid:
         raise
     except ErgodimError as exc:
@@ -327,6 +311,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 "system": cfg.system,
                 "oracle": cfg.oracle,
                 "threads": cfg.threads,
+                "window": cfg.window,
                 **cfg.options,
             }
         ),
@@ -344,15 +329,15 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 def _run_chi(cfg: ExperimentConfig):
     opts = cfg.options
-    rs = opts.get("r_schedule", [0.2, 0.1, 0.05])
-    ns = opts.get("n_schedule", list(range(2, 25, 2)))
+    rs = opts["r_schedule"]
+    ns = opts["n_schedule"]
     window = _shift_window_for(cfg, max(ns) + 64)
     sys = build_system(cfg.system, window)
     oracle = build_oracle(cfg.oracle)
     est = estimate_chi(
         sys, oracle, rs, ns,
-        points=opts.get("points", 256),
-        probes=opts.get("probes", 128),
+        points=opts["points"],
+        probes=opts["probes"],
         seed=cfg.seed,
         threads=cfg.threads,
     )
@@ -375,16 +360,25 @@ def _run_chi(cfg: ExperimentConfig):
     return payload, params, flags
 
 
+def _chi_table(p):
+    lam = {row["r"]: row["Lambda"] for row in p["per_r"]}
+    rows = [
+        [s["r"], n, v, lam[s["r"]]]
+        for s in p["series"]
+        for n, v in zip(s["n"], s["phi_over_n"])
+    ]
+    return ["r", "n", "phi_n_over_n", "Lambda_r"], rows
+
+
 def _run_entropy(cfg: ExperimentConfig):
     opts = cfg.options
-    n = opts.get("n", 16)
     oracle = build_oracle(cfg.oracle)
-    lo, hi = opts.get("alpha_window", [0, 0])
+    lo, hi = opts["alpha_window"]
     alpha = cylinder_window(int(lo), int(hi), getattr(oracle, "alphabet_size", 2))
     est = block_entropy_rate(
-        oracle, alpha, n,
-        mode=opts.get("mode", "auto"),
-        samples=opts.get("samples", 200_000),
+        oracle, alpha, opts["n"],
+        mode=opts["mode"],
+        samples=opts["samples"],
         seed=cfg.seed,
     )
     payload = {
@@ -399,26 +393,25 @@ def _run_entropy(cfg: ExperimentConfig):
 
 def _run_brin_katok(cfg: ExperimentConfig):
     opts = cfg.options
-    eps = opts.get("eps_schedule", [0.25, 0.0625])
-    ns = opts.get("n_schedule", [10, 20, 30, 40])
-    mode = opts.get("mode", "exact_cylinder")
+    eps = opts["eps_schedule"]
+    ns = opts["n_schedule"]
     need = max(ns) + 64
     sys = build_system(cfg.system, _shift_window_for(cfg, need))
     oracle = build_oracle(cfg.oracle)
-    x = sample_point(sys, oracle, cfg.seed, opts.get("point_index", 0))
+    x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     flags = []
     try:
         rep = brin_katok_local(
             sys, oracle, x, eps, ns,
-            mode=mode,
-            samples=opts.get("samples", 100_000),
+            mode=opts["mode"],
+            samples=opts["samples"],
             seed=cfg.seed,
-            min_hits=opts.get("min_hits", 50),
+            min_hits=opts["min_hits"],
         )
     except HitStarvation as exc:
         flags.append(f"hit starvation: {exc}")
         payload = {"hit_starvation": True, "message": str(exc)}
-        return payload, {"min_hits": opts.get("min_hits", 50)}, flags
+        return payload, {"min_hits": opts["min_hits"]}, flags
     payload = {
         "lower": rep.lower.value,
         "upper": rep.upper.value,
@@ -430,30 +423,49 @@ def _run_brin_katok(cfg: ExperimentConfig):
         "n_schedule": rep.n_schedule,
     }
     params = {
-        "min_hits": opts.get("min_hits", 50),
+        "min_hits": opts["min_hits"],
         "ball_convention": "open (strict inequality)",
         "proxy": "min/max over trailing half of the n schedule",
     }
     return payload, params, flags
 
 
+def _brin_katok_table(p):
+    if p.get("hit_starvation"):
+        return ["status"], [["hit_starvation"]]
+    rows = [
+        [rec["eps"], n, v]
+        for rec in p["per_eps"]
+        for n, v in zip(p["n_schedule"], rec["values"])
+    ]
+    return ["eps", "n", "value"], rows
+
+
+def _brin_katok_headline(p):
+    if p.get("hit_starvation"):
+        return "hit starvation (see flags)"
+    extra = p.get("extrapolated")
+    tail = f", intercept {extra:.6f}" if isinstance(extra, float) else ""
+    return f"lower {p['lower']:.4f} <= upper {p['upper']:.4f}{tail}"
+
+
 def _run_partition_build(cfg: ExperimentConfig):
     opts = cfg.options
-    horizon = opts.get("horizon", 50)
-    window = _shift_window_for(cfg, 8 * (opts.get("depth", 3) + horizon))
+    horizon = opts["horizon"]
+    window = _shift_window_for(cfg, 8 * (opts["depth"] + horizon))
     sys = build_system(cfg.system, window)
     oracle = build_oracle(cfg.oracle)
     plan = construct_subordinate_partition(
         sys, oracle,
-        delta=opts.get("delta", 0.5),
-        depth=opts.get("depth", 3),
-        past_depth=opts.get("past_depth", 8),
-        k_max=opts.get("k_max", 16),
-        margin=opts.get("margin", 0.1),
+        delta=opts["delta"],
+        depth=opts["depth"],
+        past_depth=opts["past_depth"],
+        k_max=opts["k_max"],
+        margin=opts["margin"],
     )
-    x = sample_point(sys, oracle, cfg.seed, opts.get("point_index", 0))
+    x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     atom = check_atom_in_unstable(
-        sys, plan, x, horizon=horizon, pairs=opts.get("pairs", 100), seed=cfg.seed
+        sys, plan, x, horizon=horizon, pairs=opts["pairs"], seed=cfg.seed
     )
     flags = []
     if not plan.diagnostics.get("t_beta1_within_delta", True):
@@ -496,17 +508,25 @@ def _run_partition_build(cfg: ExperimentConfig):
     return payload, params, flags
 
 
+def _partition_build_table(p):
+    rows = [
+        [q + 1, k, c, ch]
+        for q, (k, c, ch) in enumerate(zip(p["plan"]["ks"], p["c_values"], p["c_values_half_past"]))
+    ]
+    return ["level", "k", "c_value", "c_value_half_past"], rows
+
+
 def _run_smb_check(cfg: ExperimentConfig):
     opts = cfg.options
-    ns = opts.get("n_schedule", [100, 400, 1000, 4000, 10_000])
+    ns = opts["n_schedule"]
     window = _shift_window_for(cfg, max(ns) + 64)
     sys = build_system(cfg.system, window)
     oracle = build_oracle(cfg.oracle)
-    x = sample_point(sys, oracle, cfg.seed, opts.get("point_index", 0))
+    x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     rep = local_smb_check(
         sys, oracle, x, ns,
-        past_depth=opts.get("past_depth", 8),
-        paths=opts.get("paths", 200),
+        past_depth=opts["past_depth"],
+        paths=opts["paths"],
         seed=cfg.seed,
     )
     payload = {
@@ -517,7 +537,7 @@ def _run_smb_check(cfg: ExperimentConfig):
         "rel_error": rep.rel_error,
         "paths": rep.paths,
     }
-    if "shift_k" in opts:
+    if opts["shift_k"] is not None:
         lemma = shift_lemma_check(oracle, x, int(opts["shift_k"]), ns)
         payload["shift_lemma"] = {
             "k": lemma.k,
@@ -532,23 +552,26 @@ def _run_smb_check(cfg: ExperimentConfig):
     return payload, params, []
 
 
+def _smb_check_headline(p):
+    line = f"pathwise rate rel err {p['rel_error']:.2e}"
+    if "shift_lemma" in p:
+        line += f", shifted-block gap {p['shift_lemma']['rel_gap']:.2e}"
+    return line
+
+
 def _run_dimension(cfg: ExperimentConfig):
     opts = cfg.options
     sys = build_system(cfg.system, _shift_window_for(cfg, 128))
     oracle = build_oracle(cfg.oracle)
-    is_torus = isinstance(sys, (ToralAutomorphism, TorusTranslation))
-    delta = opts.get("delta", 0.05 if is_torus else 0.5)
-    scales = opts.get(
-        "scales",
-        [delta * 2.0 ** (-j) for j in range(2, 8)] if is_torus else [2.0 ** (-k) for k in range(2, 10)],
-    )
-    x = sample_point(sys, oracle, cfg.seed, opts.get("point_index", 0))
+    delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
+    scales = opts["scales"] if opts["scales"] is not None else default_scales(sys, delta)
+    x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     cloud = sample_unstable_set(
         sys, oracle, x, delta,
-        back_horizon=opts.get("back_horizon", 40),
-        budget=opts.get("cloud_budget", 10_000),
+        back_horizon=opts["back_horizon"],
+        budget=opts["cloud_budget"],
         seed=cfg.seed,
-        admission_tolerance=opts.get("admission_tolerance"),
+        admission_tolerance=opts["admission_tolerance"],
     )
     est = box_counting_dimension(cloud, scales, sys=sys)
     flags = [] if est.monotone else ["box counts not monotone across scales"]
@@ -574,18 +597,9 @@ def _run_dimension(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig):
-    opts = cfg.options
-    window = _shift_window_for(cfg, 192)
-    sys = build_system(cfg.system, window)
+    sys = build_system(cfg.system, _shift_window_for(cfg, 192))
     oracle = build_oracle(cfg.oracle)
-    kwargs = {}
-    for key in (
-        "direction", "delta", "base_points", "scales", "r_schedule", "n_schedule",
-        "chi_points", "chi_probes", "chi_floor", "back_horizon", "cloud_budget", "past_depth",
-    ):
-        if key in opts:
-            kwargs[key] = opts[key]
-    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **kwargs)
+    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {
         "direction": rep.direction,
         "h": rep.h_value,
@@ -608,6 +622,20 @@ def _run_verify(cfg: ExperimentConfig):
     return payload, params, list(rep.flags)
 
 
+def _verify_table(p):
+    rows = [[k, p[k]] for k in ("h", "chi", "ratio", "dim", "slack", "holds", "regime")]
+    rows += [[f"point_{i}_slope", s] for i, s in enumerate(p["per_point_slopes"])]
+    return ["metric", "value"], rows
+
+
+def _verify_headline(p):
+    if p["regime"] == "divergence":
+        return (f"chi below floor; cover slopes strictly increasing = "
+                f"{p['divergence']['strictly_increasing']}")
+    return (f"dim {p['dim']:.4f} vs h/chi {p['ratio']:.4f}, "
+            f"slack {p['slack']:+.4f}, holds = {p['holds']}")
+
+
 def _run_appendix_hilbert(cfg: ExperimentConfig):
     opts = cfg.options
     window = _shift_window_for(cfg, 256)
@@ -616,21 +644,19 @@ def _run_appendix_hilbert(cfg: ExperimentConfig):
         raise ConfigInvalid("appendix-hilbert requires system.metric = 'weighted'")
     oracle = build_oracle(cfg.oracle)
     w = sys.metric.weights
-    ks = opts.get("norm_ks", [25, 50, 75, 100, 125, 150, 175, 200])
+    ks = opts["norm_ks"]
     rates = [math.log(operator_norm_power(w, k, window=window)) / k for k in ks]
     tail = [r for k, r in zip(ks, rates) if k >= 50]
     monotone_beyond_50 = all(b < a for a, b in zip(tail, tail[1:]))
-    ns = opts.get("n_schedule", [8, 16, 32, 64, 128])
-    rs = opts.get("r_schedule", [0.4, 0.3, 0.2])
     chi_est = estimate_chi(
-        sys, oracle, rs, ns,
-        points=opts.get("points", 128),
-        probes=opts.get("probes", 64),
+        sys, oracle, opts["r_schedule"], opts["n_schedule"],
+        points=opts["points"],
+        probes=opts["probes"],
         seed=cfg.seed,
         threads=cfg.threads,
     )
-    delta = opts.get("delta", 0.5)
-    cover = unstable_cover_counts(sys, delta, octaves=opts.get("octaves", 4))
+    delta = opts["delta"]
+    cover = unstable_cover_counts(sys, delta, octaves=opts["octaves"])
     weight_check = w.check()
     flags = []
     failed = [k for k in ("decreasing", "ratio_bound", "subexponential") if not weight_check[k]]
@@ -656,13 +682,12 @@ def _run_appendix_hilbert(cfg: ExperimentConfig):
 
 def _run_hamming_bounds(cfg: ExperimentConfig):
     opts = cfg.options
-    eps = opts.get("eps", 0.04)
-    alphabet = opts.get("alphabet", 2)
-    n_values = opts.get("n_values", list(range(12, 31)))
+    eps = opts["eps"]
+    alphabet = opts["alphabet"]
     dc = delta_constant(eps, alphabet)
     rows = []
     crude_failures = []
-    for n in n_values:
+    for n in opts["n_values"]:
         rep = hamming_ball_bound_check(n, alphabet, eps)
         rows.append(
             {
@@ -693,77 +718,94 @@ def _run_hamming_bounds(cfg: ExperimentConfig):
     return payload, params, flags
 
 
-_RUNNERS = {
-    "chi": _run_chi,
-    "entropy": _run_entropy,
-    "brin-katok": _run_brin_katok,
-    "partition-build": _run_partition_build,
-    "smb-check": _run_smb_check,
-    "dimension": _run_dimension,
-    "verify": _run_verify,
-    "appendix-hilbert": _run_appendix_hilbert,
-    "hamming-bounds": _run_hamming_bounds,
+def _hamming_bounds_table(p):
+    header = ["n", "m", "log_open_count", "stirling_log_bound", "crude_holds", "stirling_holds"]
+    return header, [[r[c] for c in header] for r in p["rows"]]
+
+
+# ---------------------------------------------------------------------------
+# the task registry
+# ---------------------------------------------------------------------------
+
+_CAT = {"kind": "toral_automorphism", "matrix": ((2, 1), (1, 1))}
+_DYADIC = {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"}
+_WEIGHTED = {"kind": "full_shift", "alphabet": 2, "metric": "weighted"}
+
+# verify's defaults are those of verify_main_inequality, read from its signature
+_VERIFY_PARAMETERS = inspect.signature(verify_main_inequality).parameters
+_VERIFY_OPTIONS = (
+    "direction", "delta", "base_points", "scales", "r_schedule", "n_schedule",
+    "chi_points", "chi_probes", "chi_floor", "back_horizon", "cloud_budget", "past_depth",
+)
+
+TASKS = {
+    "chi": TaskSpec(
+        run=_run_chi, system=_CAT, table=_chi_table,
+        defaults={"r_schedule": (0.2, 0.1, 0.05), "n_schedule": tuple(range(2, 25, 2)),
+                  "points": 256, "probes": 128},
+        headline=lambda p: f"chi = {p['chi']:.6f} from {p['sample_count']} points",
+    ),
+    "entropy": TaskSpec(
+        run=_run_entropy, system=_DYADIC, modes=("auto", "exact", "monte_carlo"),
+        defaults={"n": 16, "mode": "auto", "samples": 200_000, "alpha_window": (0, 0)},
+        table=lambda p: (["n", "value", "stderr", "mode"], [[p["n"], p["value"], p["stderr"], p["mode"]]]),
+        headline=lambda p: (f"rate = {p['value']:.6f} vs closed form {p['closed_form_rate']:.6f} "
+                            f"(n = {p['n']})"),
+    ),
+    "brin-katok": TaskSpec(
+        run=_run_brin_katok, system=_DYADIC, modes=("exact_cylinder", "monte_carlo"),
+        defaults={"eps_schedule": (0.25, 0.0625), "n_schedule": (10, 20, 30, 40), "mode": "exact_cylinder",
+                  "samples": 100_000, "min_hits": 50, "point_index": 0},
+        table=_brin_katok_table, headline=_brin_katok_headline,
+    ),
+    "partition-build": TaskSpec(
+        run=_run_partition_build, system=_DYADIC, table=_partition_build_table,
+        defaults={"delta": 0.5, "depth": 3, "past_depth": 8, "k_max": 16, "margin": 0.1,
+                  "horizon": 50, "pairs": 100, "point_index": 0},
+        headline=lambda p: (f"translation times {p['plan']['ks']}, sup surplus {p['sup_c']:.6f}, "
+                            f"atom violations {p['atom_check']['violations']}"),
+    ),
+    "smb-check": TaskSpec(
+        run=_run_smb_check, system=_DYADIC, headline=_smb_check_headline,
+        # shift_k None skips the dropped-prefix comparison
+        defaults={"n_schedule": (100, 400, 1000, 4000, 10_000), "past_depth": 8, "paths": 200,
+                  "point_index": 0, "shift_k": None},
+        table=lambda p: (["n", "mean_ratio"], [[n, v] for n, v in zip(p["n_schedule"], p["mean_per_n"])]),
+    ),
+    "dimension": TaskSpec(
+        run=_run_dimension, system=_CAT,
+        defaults={"delta": None, "scales": None, "back_horizon": 40, "cloud_budget": 10_000,
+                  "point_index": 0, "admission_tolerance": None},
+        table=lambda p: (["scale", "count", "log_scale", "log_count"],
+                         [[s, c, math.log(s), math.log(c)] for s, c in zip(p["scales"], p["counts"])]),
+        headline=lambda p: f"box slope {p['slope']:.4f} from {p['admitted']} admitted points",
+    ),
+    "verify": TaskSpec(
+        run=_run_verify, system=_CAT, table=_verify_table, headline=_verify_headline,
+        defaults={k: _VERIFY_PARAMETERS[k].default for k in _VERIFY_OPTIONS},
+    ),
+    "appendix-hilbert": TaskSpec(
+        run=_run_appendix_hilbert, system=_WEIGHTED,
+        defaults={"norm_ks": (25, 50, 75, 100, 125, 150, 175, 200), "n_schedule": (8, 16, 32, 64, 128),
+                  "r_schedule": (0.4, 0.3, 0.2), "delta": 0.5, "octaves": 4, "points": 128, "probes": 64},
+        table=lambda p: (["k", "norm_rate"], [[k, r] for k, r in zip(p["norm_ks"], p["norm_rates"])]),
+        headline=lambda p: (f"chi = {p['chi']:.4f}, norm rate at k = {p['norm_ks'][-1]} is "
+                            f"{p['rate_at_max_k']:.4f}, "
+                            f"cover increasing = {p['cover']['strictly_increasing']}"),
+    ),
+    "hamming-bounds": TaskSpec(
+        run=_run_hamming_bounds, system=_DYADIC, table=_hamming_bounds_table,
+        defaults={"eps": 0.04, "alphabet": 2, "n_values": tuple(range(12, 31))},
+        headline=lambda p: (f"{len(p['rows'])} sizes checked, stirling holds for all = "
+                            f"{all(r['stirling_holds'] for r in p['rows'])}, "
+                            f"crude failures {p['crude_failures']}"),
+    ),
 }
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
-
-
-def _csv_rows(report: Report):
-    p = report.payload
-    t = report.task
-    if t == "chi":
-        lam = {row["r"]: row["Lambda"] for row in p["per_r"]}
-        header = ["r", "n", "phi_n_over_n", "Lambda_r"]
-        rows = [
-            [s["r"], n, v, lam[s["r"]]]
-            for s in p["series"]
-            for n, v in zip(s["n"], s["phi_over_n"])
-        ]
-    elif t == "entropy":
-        header = ["n", "value", "stderr", "mode"]
-        rows = [[p["n"], p["value"], p["stderr"], p["mode"]]]
-    elif t == "brin-katok":
-        if p.get("hit_starvation"):
-            return ["status"], [["hit_starvation"]]
-        header = ["eps", "n", "value"]
-        rows = [
-            [rec["eps"], n, v]
-            for rec in p["per_eps"]
-            for n, v in zip(p["n_schedule"], rec["values"])
-        ]
-    elif t == "partition-build":
-        header = ["level", "k", "c_value", "c_value_half_past"]
-        rows = [
-            [q + 1, k, c, ch]
-            for q, (k, c, ch) in enumerate(
-                zip(p["plan"]["ks"], p["c_values"], p["c_values_half_past"])
-            )
-        ]
-    elif t == "smb-check":
-        header = ["n", "mean_ratio"]
-        rows = [[n, v] for n, v in zip(p["n_schedule"], p["mean_per_n"])]
-    elif t == "dimension":
-        header = ["scale", "count", "log_scale", "log_count"]
-        rows = [
-            [s, c, math.log(s), math.log(c)] for s, c in zip(p["scales"], p["counts"])
-        ]
-    elif t == "verify":
-        header = ["metric", "value"]
-        rows = [[k, p[k]] for k in ("h", "chi", "ratio", "dim", "slack", "holds", "regime")]
-        rows += [[f"point_{i}_slope", s] for i, s in enumerate(p["per_point_slopes"])]
-    elif t == "appendix-hilbert":
-        header = ["k", "norm_rate"]
-        rows = [[k, r] for k, r in zip(p["norm_ks"], p["norm_rates"])]
-    else:  # hamming-bounds
-        header = ["n", "m", "log_open_count", "stirling_log_bound", "crude_holds", "stirling_holds"]
-        rows = [
-            [r["n"], r["m"], r["log_open_count"], r["stirling_log_bound"], r["crude_holds"], r["stirling_holds"]]
-            for r in p["rows"]
-        ]
-    return header, rows
 
 
 def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
@@ -790,7 +832,7 @@ def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         written.append(path)
     if "csv" in formats:
-        header, rows = _csv_rows(report)
+        header, rows = TASKS[report.task].table(report.payload)
         path = out / f"{report.task}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)

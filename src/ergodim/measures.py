@@ -23,8 +23,6 @@ from .errors import (
 )
 from .systems import (
     FullShift,
-    ProductPoint,
-    ProductSystem,
     SymbolicPoint,
     SystemDescriptor,
     ToralAutomorphism,
@@ -37,7 +35,6 @@ __all__ = [
     "LebesgueTorus",
     "BernoulliIID",
     "MarkovStationary",
-    "ProductMeasure",
     "ConditionalShiftOracle",
     "stationary_distribution",
     "entropy_rate",
@@ -139,12 +136,6 @@ class MarkovStationary(MeasureOracle):
 
     def power(self, d: int) -> np.ndarray:
         return np.linalg.matrix_power(self.P, int(d))
-
-
-@dataclass(frozen=True, eq=False)
-class ProductMeasure(MeasureOracle):
-    left: MeasureOracle
-    right: MeasureOracle
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,13 +284,6 @@ def sample_point(sys: SystemDescriptor, oracle: MeasureOracle, master_seed: int,
         return TorusPoint(float(xy[0]), float(xy[1]))
     if isinstance(sys, FullShift):
         return SymbolicPoint(_sample_shift_window(sys, oracle, rng), -sys.window)
-    if isinstance(sys, ProductSystem):
-        if not isinstance(oracle, ProductMeasure):
-            raise IncompatibleOracle("product system needs a product measure")
-        # split deterministically: factor tag 0 / 1 appended to the counter
-        left = sample_point(sys.left, oracle.left, master_seed, 2 * point_index)
-        right = sample_point(sys.right, oracle.right, master_seed, 2 * point_index + 1)
-        return ProductPoint(left, right)
     raise IncompatibleOracle(f"unknown system kind {type(sys).__name__}")
 
 
@@ -323,26 +307,32 @@ def cylinder_measure(oracle: MeasureOracle, word, start: int = 0) -> float:
     return fixed_coords_measure(oracle, list(range(start, start + len(w))), w)
 
 
-def fixed_coords_measure(oracle: MeasureOracle, indices, symbols) -> float:
-    """Measure of {x : x_i = s_i for each fixed coordinate}, for sorted indices."""
+def _constraints(indices, symbols):
+    """(indices, symbols) sorted by index with repeated indices merged.
+
+    Returns None when one index is fixed to two different symbols (a
+    measure-zero constraint).
+    """
     idx = [int(i) for i in indices]
     syms = [int(s) for s in symbols]
     if len(idx) != len(syms):
         raise LengthMismatch(f"{len(idx)} indices vs {len(syms)} symbols")
+    fixed = {}
+    for i, s in zip(idx, syms):
+        if fixed.setdefault(i, s) != s:
+            return None
+    order = sorted(fixed)
+    return order, [fixed[i] for i in order]
+
+
+def fixed_coords_measure(oracle: MeasureOracle, indices, symbols) -> float:
+    """Measure of {x : x_i = s_i for each fixed coordinate}."""
+    constraints = _constraints(indices, symbols)
+    if constraints is None:
+        return 0.0
+    idx, syms = constraints
     if not idx:
         return 1.0
-    order = sorted(range(len(idx)), key=lambda j: idx[j])
-    idx = [idx[j] for j in order]
-    syms = [syms[j] for j in order]
-    for a, b, sa, sb in zip(idx, idx[1:], syms, syms[1:]):
-        if a == b:
-            if sa != sb:
-                return 0.0
-    # drop duplicate (consistent) constraints
-    dedup = [(i, s) for j, (i, s) in enumerate(zip(idx, syms)) if j == 0 or i != idx[j - 1]]
-    idx = [i for i, _ in dedup]
-    syms = [s for _, s in dedup]
-
     if isinstance(oracle, BernoulliIID):
         p = oracle.p
         if max(syms) >= p.size or min(syms) < 0:
@@ -370,22 +360,12 @@ def fixed_coords_log_measure(oracle: MeasureOracle, indices, symbols) -> float:
 
     Returns -inf for measure-zero constraints.
     """
-    idx = [int(i) for i in indices]
-    syms = [int(s) for s in symbols]
-    if len(idx) != len(syms):
-        raise LengthMismatch(f"{len(idx)} indices vs {len(syms)} symbols")
+    constraints = _constraints(indices, symbols)
+    if constraints is None:
+        return -math.inf
+    idx, syms = constraints
     if not idx:
         return 0.0
-    order = sorted(range(len(idx)), key=lambda j: idx[j])
-    idx = [idx[j] for j in order]
-    syms = [syms[j] for j in order]
-    for a, b, sa, sb in zip(idx, idx[1:], syms, syms[1:]):
-        if a == b and sa != sb:
-            return -math.inf
-    dedup = [(i, s) for j, (i, s) in enumerate(zip(idx, syms)) if j == 0 or i != idx[j - 1]]
-    idx = [i for i, _ in dedup]
-    syms = [s for _, s in dedup]
-
     if isinstance(oracle, BernoulliIID):
         p = oracle.p
         chosen = p[syms]

@@ -1,6 +1,6 @@
 """Concrete invertible systems, their point types, and their metrics.
 
-Four system kinds are supported:
+Three system kinds are supported:
 
 * ``ToralAutomorphism`` -- an integer matrix with |det| = 1 acting on the
   2-torus.  Coordinates live on the dyadic grid k / 2**53, and iteration is
@@ -12,7 +12,6 @@ Four system kinds are supported:
   finite coordinate window -N..N.  Two metrics are available: the dyadic
   metric 2**(-k) of first disagreement, and a weighted little-l2 metric whose
   weights decrease subexponentially.
-* ``ProductSystem`` -- a product of two systems with the max metric.
 
 Shift convention: (Tx)_i = x_{i+1} (the left shift).  Symbolic operations
 never pad silently; when a computation would need coordinates outside the
@@ -36,10 +35,8 @@ __all__ = [
     "ToralAutomorphism",
     "TorusTranslation",
     "FullShift",
-    "ProductSystem",
     "TorusPoint",
     "SymbolicPoint",
-    "ProductPoint",
     "iterate",
     "distance",
     "torus_displacement_norm",
@@ -47,6 +44,10 @@ __all__ = [
     "resolution_floor",
     "weighted_norm",
     "weighted_tail_bound",
+    "open_flip_depth",
+    "dyadic_depth",
+    "cylinder_depth",
+    "one_sided_depth",
     "operator_norm_power",
     "operator_norm_curve",
 ]
@@ -237,14 +238,6 @@ class FullShift(SystemDescriptor):
             raise ValueError("window must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class ProductSystem(SystemDescriptor):
-    """Product of two systems with the max metric."""
-
-    left: SystemDescriptor
-    right: SystemDescriptor
-
-
 # ---------------------------------------------------------------------------
 # point types
 # ---------------------------------------------------------------------------
@@ -312,12 +305,6 @@ class SymbolicPoint:
         return f"SymbolicPoint(lo={self.lo}, len={self.symbols.size})"
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    left: object
-    right: object
-
-
 # ---------------------------------------------------------------------------
 # iteration
 # ---------------------------------------------------------------------------
@@ -355,8 +342,6 @@ def iterate(sys: SystemDescriptor, point, n: int):
                 f"shift by {n} moves window to [{new_lo}, {new_hi}], which no longer covers 0"
             )
         return SymbolicPoint(point.symbols, new_lo)
-    if isinstance(sys, ProductSystem):
-        return ProductPoint(iterate(sys.left, point.left, n), iterate(sys.right, point.right, n))
     raise MixedSystems(f"unknown system kind {type(sys).__name__}")
 
 
@@ -422,8 +407,6 @@ def distance(sys: SystemDescriptor, x, y) -> float:
         if isinstance(sys.metric, DyadicMetric):
             return _dyadic_distance(x, y)
         return _weighted_distance(x, y, sys.metric, sys.window)
-    if isinstance(sys, ProductSystem):
-        return max(distance(sys.left, x.left, y.left), distance(sys.right, x.right, y.right))
     raise MixedSystems(f"unknown system kind {type(sys).__name__}")
 
 
@@ -435,8 +418,6 @@ def invert(sys: SystemDescriptor) -> SystemDescriptor:
         return TorusTranslation((-sys.shift[0] % 1.0, -sys.shift[1] % 1.0))
     if isinstance(sys, FullShift):
         return FullShift(sys.alphabet_size, sys.metric, sys.window, not sys.inverted)
-    if isinstance(sys, ProductSystem):
-        return ProductSystem(invert(sys.left), invert(sys.right))
     raise MixedSystems(f"unknown system kind {type(sys).__name__}")
 
 
@@ -451,8 +432,6 @@ def resolution_floor(sys: SystemDescriptor) -> float:
         if isinstance(sys.metric, DyadicMetric):
             return 2.0 ** (-sys.window)
         return 2.0 * weighted_tail_bound(sys.metric.weights, sys.window)
-    if isinstance(sys, ProductSystem):
-        return max(resolution_floor(sys.left), resolution_floor(sys.right))
     raise MixedSystems(f"unknown system kind {type(sys).__name__}")
 
 
@@ -472,6 +451,54 @@ def weighted_norm(weights: WeightSequence, coeffs: dict[int, float]) -> float:
 def weighted_tail_bound(weights: WeightSequence, radius: int) -> float:
     """Worst-case metric mass outside |n| <= radius for 0/1 symbol differences."""
     return math.sqrt(2.0 * weights.tail_sum(radius))
+
+
+# ---------------------------------------------------------------------------
+# scale -> coordinate depth on the full shift, one function per convention
+# ---------------------------------------------------------------------------
+
+
+def open_flip_depth(sys: FullShift, r: float) -> int:
+    """Smallest depth k at which one flipped symbol sits at distance below r (open ball).
+
+    Weighted depths stop at the window.  The dyadic search starts from a float
+    ``log2``, so one ulp above a power of two it can return one more than the least k.
+    """
+    if isinstance(sys.metric, DyadicMetric):
+        k = int(math.floor(math.log2(1.0 / r))) + 1
+        while 2.0 ** (-k) >= r:
+            k += 1
+        return k
+    k = 1
+    while weighted_tail_bound(sys.metric.weights, k - 1) >= r and k < sys.window:
+        k += 1
+    return k
+
+
+def dyadic_depth(eps: float) -> int:
+    """Smallest k >= 0 with 2**-k <= eps (closed ball)."""
+    k = 0
+    while 2.0 ** (-k) > eps:
+        k += 1
+    return k
+
+
+def cylinder_depth(weights: WeightSequence, alphabet: int, eps: float, limit: int) -> int:
+    """Smallest k <= limit whose cylinder fixing |i| <= k has weighted diameter
+    (alphabet - 1) * sqrt(2 * sum_{j > k} a_j) <= eps (two-sided); limit + 1 if none."""
+    k = 0
+    while k <= limit and (alphabet - 1) * math.sqrt(2.0 * weights.tail_sum(k)) > eps:
+        k += 1
+    return k
+
+
+def one_sided_depth(weights: WeightSequence, alphabet: int, eps: float, limit: int) -> int:
+    """Smallest m <= limit with (alphabet - 1) * sqrt(sum_{j >= m} a_j) <= eps, the most
+    that changing coordinates >= m on one side moves a point; limit + 1 if none."""
+    m = 0
+    while m <= limit and (alphabet - 1) * math.sqrt(weights.tail_sum(m - 1)) > eps:
+        m += 1
+    return m
 
 
 def operator_norm_curve(weights: WeightSequence, k: int, window: int) -> np.ndarray:

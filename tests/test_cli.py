@@ -69,6 +69,18 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "brin-katok", "seed": 0, "eps_schedule": [1.5, 0.45]},
             "field 'eps_schedule': every eps must lie in (0, 1]",
         ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "toral_automorphism", "matrix": "ab"}},
+            "field 'system': invalid literal for int()",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "torus_translation", "shift": [0.1]}},
+            "field 'system': not enough values to unpack",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 1}},
+            "field 'system': alphabet_size must be >= 2",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

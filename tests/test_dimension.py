@@ -41,8 +41,13 @@ from ergodim.systems import (
     SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,
+    WeightedL2Metric,
     distance,
+    dyadic_depth,
     iterate,
+    one_sided_depth,
+    open_flip_depth,
+    weighted_tail_bound,
 )
 from tests.conftest import LOG2, LOG_LAM
 
@@ -453,6 +458,125 @@ def test_exact_mass_needs_dyadic_metric(weighted_shift, bern_half):
     cond = disintegrate_past(bern_half, 8, x)
     with pytest.raises(UnsupportedOracle):
         local_dimension_lower(cloud, cond, cloud.points[0], [0.5, 0.25, 0.125, 0.0625], sys=weighted_shift)
+
+
+# ---------------------------------------------------------------------------
+# scale -> depth helpers against the loops they replaced, one per call site
+# ---------------------------------------------------------------------------
+
+
+def _old_flip_depth(sys, r):
+    """geometry: ``_shift_probe_ratios`` and ``_shift_inclusion_sample`` held this loop twice."""
+    if isinstance(sys.metric, DyadicMetric):
+        k_lo = int(math.floor(math.log2(1.0 / r))) + 1
+        while 2.0 ** (-k_lo) >= r:
+            k_lo += 1
+    else:
+        k_lo = 1
+        while weighted_tail_bound(sys.metric.weights, k_lo - 1) >= r and k_lo < sys.window:
+            k_lo += 1
+    return k_lo
+
+
+def _old_cloud_depth(sys, delta):
+    """dimension: ``_shift_unstable_cloud``, before its max(m_delta, 1)."""
+    a = sys.alphabet_size
+    if isinstance(sys.metric, DyadicMetric):
+        m_delta = 0
+        while 2.0 ** (-m_delta) > delta:
+            m_delta += 1
+    else:
+        w = sys.metric.weights
+        m_delta = 0
+        while (a - 1) * math.sqrt(max(w.total - math.fsum(w.a(k) for k in range(m_delta)), 0.0)) > delta:
+            m_delta += 1
+            if m_delta > sys.window:
+                break
+    return m_delta
+
+
+def _old_box_radius(sys, eps):
+    """dimension: ``_symbolic_box_radius``."""
+    if isinstance(sys.metric, DyadicMetric):
+        k = 0
+        while 2.0 ** (-k) > eps:
+            k += 1
+        return k
+    w = sys.metric.weights
+    a = sys.alphabet_size
+    k = 0
+    while (a - 1) * math.sqrt(2.0 * w.tail_sum(k)) > eps:
+        k += 1
+        if k > 10 * sys.window:
+            raise ValueError(f"scale {eps} below the weighted-metric resolution")
+    return k
+
+
+def _old_cover_depth(sys, delta):
+    """dimension: ``unstable_cover_counts``'s m_delta."""
+    a = sys.alphabet_size
+    if isinstance(sys.metric, DyadicMetric):
+        m_delta = 0
+        while 2.0 ** (-m_delta) > delta:
+            m_delta += 1
+    else:
+        w = sys.metric.weights
+        m_delta = 0
+        while (a - 1) * math.sqrt(2.0 * w.tail_sum(m_delta - 1 if m_delta else 0)) > delta and m_delta < 10_000:
+            m_delta += 1
+    return max(m_delta, 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _radii(lowest_octave):
+    """Powers of two from 4 down, each with its float neighbours, plus radii above 1."""
+    grid = [1.5, 3.0]
+    for j in range(-2, lowest_octave + 1):
+        r = 2.0 ** -j
+        grid += [math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)]
+    return grid
+
+
+_DEPTH_SHIFTS = {
+    "dyadic": (FullShift(alphabet_size=2), 60),
+    "weighted": (FullShift(alphabet_size=2, metric=WeightedL2Metric()), 4),
+    # a small window reaches every cap; three symbols exercise the (a - 1) factor
+    "weighted-ternary-w16": (FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=16), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEPTH_SHIFTS))
+def test_depth_helpers_match_the_loops_they_replaced(name):
+    sys, lowest_octave = _DEPTH_SHIFTS[name]
+    dyadic = isinstance(sys.metric, DyadicMetric)
+    for r in _radii(lowest_octave):
+        assert open_flip_depth(sys, r) == _old_flip_depth(sys, r), r
+        if dyadic:
+            cloud_depth = dyadic_depth(r)
+        else:
+            cloud_depth = one_sided_depth(sys.metric.weights, sys.alphabet_size, r, sys.window)
+        assert cloud_depth == _old_cloud_depth(sys, r), r
+        assert _outcome(_symbolic_box_radius, sys, r) == _outcome(_old_box_radius, sys, r), r
+        assert unstable_cover_counts(sys, r, octaves=0)["m_delta"] == _old_cover_depth(sys, r), r
+
+
+def test_depth_grid_reaches_the_caps():
+    """The grid above hits the window caps and the box-radius error, not only interior depths."""
+    sys, lowest_octave = _DEPTH_SHIFTS["weighted-ternary-w16"]
+    r = 2.0 ** -lowest_octave
+    assert open_flip_depth(sys, r) == sys.window
+    assert _old_cloud_depth(sys, r) == sys.window + 1
+    with pytest.raises(ValueError, match="below the weighted-metric resolution"):
+        _symbolic_box_radius(sys, r)
+    # just above a power of two the dyadic open-ball search can overshoot the least depth by one
+    r = math.nextafter(2.0**-5, math.inf)
+    assert open_flip_depth(FullShift(), r) == 6 and 2.0**-5 < r
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Config validation, task dispatch, report schemas, and byte reproducibility."""
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,10 @@ TINY_CONFIGS = {
                          "n_schedule": [2, 4, 8], "points": 16, "probes": 24},
     "hamming-bounds": {"task": "hamming-bounds", "seed": 0, "n_values": [12, 16, 20]},
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMON_KEYS = {"task", "seed", "system", "oracle", "threads", "window"}
 
 
 def run(raw):
@@ -167,6 +173,35 @@ def test_malformed_schedules_rejected(task, field, value):
         (
             {"task": "brin-katok", "seed": 0, "eps_schedule": [0.5, 0.0]},
             "field 'eps_schedule': every eps must lie in \\(0, 1\\]",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "toral_automorphism", "matrix": "ab"}},
+            "field 'system': invalid literal for int\\(\\)",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "toral_automorphism", "matrix": 5}},
+            "field 'system': 'int' object is not iterable",
+        ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 2]]}},
+            "field 'system': \\|det\\| must be 1, got det = 3",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "torus_translation", "shift": [0.1]}},
+            "field 'system': not enough values to unpack",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": 1}},
+            "field 'system': alphabet_size must be >= 2",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": None}},
+            "field 'system': int\\(\\) argument must be",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": 0}},
+            "field 'system': window must be >= 1",
         ),
     ],
 )
@@ -365,3 +400,38 @@ def test_json_payload_section_reproduces(tmp_path):
     da, db = json.loads(a[0].read_text()), json.loads(b[0].read_text())
     assert da["payload"] == db["payload"]
     assert da["config"] == db["config"]
+
+
+# ---------------------------------------------------------------------------
+# the task registry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("task", list(TASKS))
+def test_registry_entry_is_complete(task):
+    spec = TASKS[task]
+    ExperimentConfig.from_dict(json.loads((ROOT / "configs" / f"{task}.json").read_text()))
+    rep = run(TINY_CONFIGS[task])
+    assert set(rep.config) == set(spec.defaults) | COMMON_KEYS
+    for key, default in spec.defaults.items():
+        if key not in TINY_CONFIGS[task]:
+            assert rep.config[key] == json.loads(json.dumps(default)), key
+    header, rows = spec.table(rep.payload)
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert spec.headline(rep.payload)
+
+
+def test_run_all_prints_each_headline(tmp_path, capsys):
+    loader = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+    run_all = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run_all)
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for task in ("hamming-bounds", "entropy"):
+        (configs / f"{task}.json").write_text(json.dumps(TINY_CONFIGS[task]))
+    rc = run_all.main(["--configs", str(configs), "--out", str(tmp_path / "out"),
+                       "--only", "hamming-bounds", "entropy"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "    3 sizes checked, stirling holds for all = True, crude failures []\n" in out
+    assert "    rate = 0.693147 vs closed form 0.693147 (n = 8)\n" in out
