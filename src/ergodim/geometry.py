@@ -125,66 +125,96 @@ def _torus_norm_rows(v: np.ndarray) -> np.ndarray:
     return np.hypot(frac[:, 0], frac[:, 1])
 
 
+# probe cells (rows x window width) per vector pass of the batched shift route:
+# enough rows to amortize numpy's per-call cost, few enough that a block's
+# arrays stay at a few MB and peak memory stays flat on wide windows
+_SHIFT_BLOCK_CELLS = 1 << 18
+
+
+def _draw_flip_probes(rng, k_lo, k_hi, alphabet, width, probes):
+    """One point's flip-probe draws, in stream order: depths, sides, symbols, offsets."""
+    ks = rng.integers(k_lo, k_hi + 1, size=probes)
+    sides = np.where(rng.random(probes) < 0.5, 1, -1)
+    rand = rng.integers(0, alphabet, size=(probes, width), dtype=np.int8)
+    offset = rng.integers(1, alphabet, size=probes, dtype=np.int8)
+    return ks, sides, rand, offset
+
+
 def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, probes):
     """Probes that agree with x on |i| < k, are forced to differ at +-k, random beyond."""
     a = sys.alphabet_size
-    width = x.symbols.size
-    base = np.broadcast_to(x.symbols, (probes, width)).copy()
-    ks = rng.integers(k_lo, k_hi + 1, size=probes)
-    sides = np.where(rng.random(probes) < 0.5, 1, -1)
+    ks, sides, rand, offset = _draw_flip_probes(rng, k_lo, k_hi, a, x.symbols.size, probes)
     # randomize everything at |coord| >= k, then force the chosen flip at side*k
     coords = np.arange(x.lo, x.hi + 1)
-    rand = rng.integers(0, a, size=(probes, width), dtype=np.int8)
     outside = np.abs(coords)[None, :] >= ks[:, None]
-    base[outside] = rand[outside]
+    base = np.where(outside, rand, x.symbols[None, :])
     flip_pos = sides * ks - x.lo
-    rows = np.arange(probes)
-    offset = rng.integers(1, a, size=probes, dtype=np.int8)
-    base[rows, flip_pos] = (x.symbols[flip_pos] + offset) % a
+    base[np.arange(probes), flip_pos] = (x.symbols[flip_pos] + offset) % a
     return base, ks
 
 
-def _shift_probe_ratios(sys: FullShift, x: SymbolicPoint, r, ns, probes, rng):
-    """Flip-route ratios for full shifts (dyadic or weighted metric)."""
+def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs):
+    """Flip-route ratios for a block of points that share one window (dyadic or weighted).
+
+    Point i draws its probes from ``rngs[i]``, exactly as a lone point would;
+    rows i * probes .. (i + 1) * probes - 1 of the result are its probes.
+    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
+    """
+    x0 = xs[0]
+    lo, hi, width, a = x0.lo, x0.hi, x0.symbols.size, sys.alphabet_size
     n_max = max(ns)
     k_lo = open_flip_depth(sys, r)
     # flips surviving Bowen membership through time n sit at depth >= n + k_lo,
     # so the draw range must extend past n_max + k_lo (within the stored window)
-    k_hi = min(x.hi - 1, -x.lo - 1, k_lo + n_max + 16)
+    k_hi = min(hi - 1, -lo - 1, k_lo + n_max + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow(
             f"no admissible flip depth: need k in [{k_lo}, {k_hi}] inside the window"
         )
-    symbols, _ = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
+    ks, sides, rand, offset = (
+        np.concatenate(parts)
+        for parts in zip(*[_draw_flip_probes(rng, k_lo, k_hi, a, width, probes) for rng in rngs])
+    )
+    centers = np.stack([x.symbols for x in xs])
+    rows = np.arange(len(ks))
 
-    accepted = np.zeros((probes, len(ns)), dtype=bool)
-    ratios = np.zeros((probes, len(ns)))
-    diff = symbols != np.broadcast_to(x.symbols, symbols.shape)
+    # a probe differs from its point where it is randomized (|coord| >= k) and
+    # the draw disagrees, and at the forced flip, whose symbol is x + offset mod a
+    coords = np.arange(lo, hi + 1)
+    diff = (rand.reshape(len(xs), probes, width) != centers[:, None, :]).reshape(len(ks), width)
+    diff &= np.abs(coords)[None, :] >= ks[:, None]
+    flip_pos = sides * ks - lo
+    at_flip = centers[rows // probes, flip_pos]
+    diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
+
     if isinstance(sys.metric, DyadicMetric):
-        d = 2.0 ** (-_nearest_mismatch(diff, x.lo, n_max))
-        d0 = d[:, 0]
+        d = 2.0 ** (-_nearest_mismatch(diff, lo, n_max))
     else:
-        w = sys.metric.weights
-        width = x.symbols.size
-        kmax_needed = max(abs(x.lo), abs(x.hi)) + n_max
-        vals = w.values(kmax_needed)
-        coords = np.arange(x.lo, x.hi + 1)
-        # d(T^j x, T^j y)^2 = sum_i a_|i - j| * diff_i, one matmul covers all j
-        wmat = vals[np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])]
-        cap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :]) <= sys.window
-        d = np.sqrt(diff.astype(float) @ (wmat * cap))
-        d0 = d[:, 0]
-    col = {n: j for j, n in enumerate(ns)}
-    run_max = d[:, 0].copy()
-    for k in range(1, n_max + 1):
-        if k in col:
-            j = col[k]
-            ok = (run_max < r) & (d0 > 0.0)
-            accepted[:, j] = ok
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[:, j] = np.where(ok, d[:, k] / d0, 0.0)
-        run_max = np.maximum(run_max, d[:, k])
+        # d(T^j x, T^j y)^2 = sum_i a_|i - j| * diff_i, one matmul covers all j;
+        # one matmul per point keeps each product the shape it always had
+        M = _shift_weight_matrix(sys, coords, n_max)
+        d = np.empty((len(ks), n_max + 1))
+        for s in range(0, len(ks), probes):
+            np.sqrt(diff[s : s + probes].astype(float) @ M, out=d[s : s + probes])
+    d0 = d[:, 0]
+    run_max = np.maximum.accumulate(d, axis=1)  # run_max[:, k] = max_{j <= k} d_j
+    accepted = np.zeros((len(ks), len(ns)), dtype=bool)
+    ratios = np.zeros((len(ks), len(ns)))
+    for n, j in {n: j for j, n in enumerate(ns)}.items():
+        if n < 1:
+            continue  # no Bowen ball at n < 1: the column stays unaccepted
+        ok = (run_max[:, n - 1] < r) & (d0 > 0.0)
+        accepted[:, j] = ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios[:, j] = np.where(ok, d[:, n] / d0, 0.0)
     return accepted, ratios
+
+
+def _shift_weight_matrix(sys: FullShift, coords, n_max):
+    """M[i, j] = a_|coords[i] - j| for j = 0..n_max, zero where |coords[i] - j| > window."""
+    gap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])
+    vals = sys.metric.weights.values(int(np.abs(coords).max()) + n_max)
+    return vals[gap] * (gap <= sys.window)
 
 
 def _nearest_mismatch(diff: np.ndarray, lo: int, n_max: int) -> np.ndarray:
@@ -221,7 +251,7 @@ def _probe_ratios(sys, x, r, ns, probes, rng):
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
     if isinstance(sys, FullShift):
-        return _shift_probe_ratios(sys, x, r, ns, probes, rng)
+        return _shift_block_ratios(sys, [x], r, ns, probes, [rng])
     raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
 
 
@@ -310,10 +340,21 @@ def lipschitz_table(
             shape = (stop - start, probes, len(ns))
             record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
         return values, accepted_counts
-    for i, x in enumerate(points):
-        rng = rng_for(seed, r_tag, first_index + i)
-        acc, rat = _probe_ratios(sys, x, r, ns, probes, rng)
-        record(slice(i, i + 1), acc[None], rat[None])
+    if not isinstance(sys, FullShift):
+        raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
+    # shift probes: blocks of points sharing one window, bounded by probe cells
+    start = 0
+    while start < len(points):
+        lo, width = points[start].lo, points[start].symbols.size
+        cap = min(len(points), start + max(1, _SHIFT_BLOCK_CELLS // (probes * width)))
+        stop = start + 1
+        while stop < cap and (points[stop].lo, points[stop].symbols.size) == (lo, width):
+            stop += 1
+        rngs = [rng_for(seed, r_tag, first_index + i) for i in range(start, stop)]
+        acc, rat = _shift_block_ratios(sys, points[start:stop], r, ns, probes, rngs)
+        shape = (stop - start, probes, len(ns))
+        record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
+        start = stop
     return values, accepted_counts
 
 

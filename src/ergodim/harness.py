@@ -215,11 +215,18 @@ def _validate_options(spec: TaskSpec, options: dict):
         raise ConfigInvalid(f"field 'direction': expected 'forward' or 'backward', got {direction!r}")
 
 
+def _matrix_entry(v) -> int:
+    """A torus matrix entry as an int; bools and non-integral numbers are rejected."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"matrix entries must be integers, got {v!r}")
+    return int(v)
+
+
 def build_system(desc: dict, window: int | None = None):
     kind = desc["kind"]
     if kind == "toral_automorphism":
         m = desc.get("matrix", [[2, 1], [1, 1]])
-        return ToralAutomorphism(tuple(tuple(int(v) for v in row) for row in m))
+        return ToralAutomorphism(tuple(tuple(_matrix_entry(v) for v in row) for row in m))
     if kind == "torus_translation":
         sx, sy = desc.get("shift", [0.1234, 0.4321])
         return TorusTranslation((float(sx), float(sy)))

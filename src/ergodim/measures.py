@@ -211,24 +211,31 @@ def marginal_entropy(oracle: MeasureOracle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sample_categorical(rng, cumulative: np.ndarray) -> int:
-    return int(np.searchsorted(cumulative, rng.random(), side="right"))
+def _markov_walk(cum: np.ndarray, state: int, u: np.ndarray) -> list:
+    """States of a chain run from ``state``, one step per uniform in ``u``.
+
+    Step t moves to ``searchsorted(cum[state], u[t], side="right")``, exactly
+    the per-step categorical draw, read from one next-state table per state
+    (one vector ``searchsorted`` per row of ``cum``).
+    """
+    tables = [np.searchsorted(row, u, side="right").tolist() for row in cum]
+    path = [0] * len(u)
+    for t in range(len(u)):
+        path[t] = state = tables[state][t]
+    return path
 
 
 def _sample_markov_window(oracle: MarkovStationary, window: int, rng) -> np.ndarray:
-    """Window -N..N of a stationary two-sided chain: forward from 0, backward kernel below."""
-    n = 2 * window + 1
-    out = np.empty(n, dtype=np.int8)
-    P = oracle.P
-    cum_f = np.cumsum(P, axis=1)
-    cum_b = np.cumsum(oracle.backward(), axis=1)
-    cum_pi = np.cumsum(oracle.pi_vec)
-    mid = window  # array position of coordinate 0
-    out[mid] = _sample_categorical(rng, cum_pi)
-    for j in range(mid + 1, n):
-        out[j] = _sample_categorical(rng, cum_f[out[j - 1]])
-    for j in range(mid - 1, -1, -1):
-        out[j] = _sample_categorical(rng, cum_b[out[j + 1]])
+    """Window -N..N of a stationary two-sided chain: forward from 0, backward kernel below.
+
+    Uniforms are drawn in one block, in coordinate order 0, 1..N, -1..-N.
+    """
+    u = rng.random(2 * window + 1)
+    out = np.empty(2 * window + 1, dtype=np.int8)
+    start = int(np.searchsorted(np.cumsum(oracle.pi_vec), u[0], side="right"))
+    out[window] = start
+    out[window + 1 :] = _markov_walk(np.cumsum(oracle.P, axis=1), start, u[1 : window + 1])
+    out[:window] = _markov_walk(np.cumsum(oracle.backward(), axis=1), start, u[window + 1 :])[::-1]
     return out
 
 
@@ -257,15 +264,14 @@ def _sample_conditional_window(sys: FullShift, oracle: ConditionalShiftOracle, r
     if isinstance(base, BernoulliIID):
         out[:] = rng.choice(base.alphabet_size, size=2 * N + 1, p=base.p).astype(np.int8)
     elif isinstance(base, MarkovStationary):
-        cum_f = np.cumsum(base.P, axis=1)
-        cum_b = np.cumsum(base.backward(), axis=1)
-        # seed the fixed block, then run the chain outward from its two ends
+        # seed the fixed block, then run the chain outward from its two ends:
+        # uniforms for coordinates hi_f+1..N first, then lo_f-1..-N
         for i in range(lo_f, hi_f + 1):
             out[i + N] = oracle.fixed[i]
-        for i in range(hi_f + 1, N + 1):
-            out[i + N] = _sample_categorical(rng, cum_f[out[i - 1 + N]])
-        for i in range(lo_f - 1, -N - 1, -1):
-            out[i + N] = _sample_categorical(rng, cum_b[out[i + 1 + N]])
+        u = rng.random(2 * N - hi_f + lo_f)
+        ahead = N - hi_f
+        out[hi_f + 1 + N :] = _markov_walk(np.cumsum(base.P, axis=1), int(out[hi_f + N]), u[:ahead])
+        out[: lo_f + N] = _markov_walk(np.cumsum(base.backward(), axis=1), int(out[lo_f + N]), u[ahead:])[::-1]
         return out
     else:
         raise IncompatibleOracle(f"cannot sample conditional of {type(base).__name__}")

@@ -461,14 +461,15 @@ def weighted_tail_bound(weights: WeightSequence, radius: int) -> float:
 def open_flip_depth(sys: FullShift, r: float) -> int:
     """Smallest depth k at which one flipped symbol sits at distance below r (open ball).
 
-    Weighted depths stop at the window.  The dyadic search starts from a float
-    ``log2``, so one ulp above a power of two it can return one more than the least k.
+    Weighted depths stop at the window.  The dyadic depth is exact: the least
+    k with 2**-k < r, read from the binary exponent of r.
     """
     if isinstance(sys.metric, DyadicMetric):
-        k = int(math.floor(math.log2(1.0 / r))) + 1
-        while 2.0 ** (-k) >= r:
-            k += 1
-        return k
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {r}")
+        # r = m * 2**e exactly, with 0.5 <= m < 1: 2**(e - 1) < r unless m = 0.5
+        m, e = math.frexp(r)
+        return 2 - e if m == 0.5 else 1 - e
     k = 1
     while weighted_tail_bound(sys.metric.weights, k - 1) >= r and k < sys.window:
         k += 1

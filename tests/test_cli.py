@@ -81,6 +81,16 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 1}},
             "field 'system': alphabet_size must be >= 2",
         ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[2.7, 1], [1, 1.9]]}},
+            "field 'system': matrix entries must be integers, got 2.7",
+        ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[True, 1], [1, 1]]}},
+            "field 'system': matrix entries must be integers, got True",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

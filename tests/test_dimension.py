@@ -556,7 +556,13 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
     sys, lowest_octave = _DEPTH_SHIFTS[name]
     dyadic = isinstance(sys.metric, DyadicMetric)
     for r in _radii(lowest_octave):
-        assert open_flip_depth(sys, r) == _old_flip_depth(sys, r), r
+        flip = open_flip_depth(sys, r)
+        if dyadic:
+            # the least k with 2**-k < r; the old loop's float log2 could overshoot it by one
+            assert 2.0**-flip < r <= 2.0 ** (1 - flip), r
+            assert _old_flip_depth(sys, r) in (flip, flip + 1), r
+        else:
+            assert flip == _old_flip_depth(sys, r), r
         if dyadic:
             cloud_depth = dyadic_depth(r)
         else:
@@ -574,9 +580,19 @@ def test_depth_grid_reaches_the_caps():
     assert _old_cloud_depth(sys, r) == sys.window + 1
     with pytest.raises(ValueError, match="below the weighted-metric resolution"):
         _symbolic_box_radius(sys, r)
-    # just above a power of two the dyadic open-ball search can overshoot the least depth by one
+    # just above a power of two the least depth is that power's, which a float log2 overshot
     r = math.nextafter(2.0**-5, math.inf)
-    assert open_flip_depth(FullShift(), r) == 6 and 2.0**-5 < r
+    assert open_flip_depth(FullShift(), r) == 5 and 2.0**-5 < r
+    assert _old_flip_depth(FullShift(), r) == 6
+
+
+@pytest.mark.parametrize("j", [-3, 0, 1, 5, 30, 52, 60, 1022])
+def test_dyadic_flip_depth_is_exact_around_powers_of_two(j):
+    sys = FullShift()
+    power = 2.0**-j
+    assert open_flip_depth(sys, math.nextafter(power, math.inf)) == j
+    assert open_flip_depth(sys, power) == j + 1  # open ball: 2**-j itself is not below r
+    assert open_flip_depth(sys, math.nextafter(power, 0.0)) == j + 1
 
 
 # ---------------------------------------------------------------------------

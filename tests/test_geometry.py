@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ergodim.errors import NoProbeAccepted, ScaleUnderflow
+import ergodim.geometry as geometry
 from ergodim.geometry import (
     _TORUS_BLOCK_ROWS,
     InclusionReport,
@@ -22,13 +23,17 @@ from ergodim.geometry import (
     estimate_pointwise_lipschitz,
     lipschitz_table,
 )
-from ergodim.measures import rng_for, sample_point
+from ergodim.lyapunov import _table_threaded
+from ergodim.measures import MarkovStationary, rng_for, sample_point
 from ergodim.systems import (
+    DyadicMetric,
     FullShift,
     SymbolicPoint,
     TorusPoint,
+    WeightedL2Metric,
     distance,
     iterate,
+    open_flip_depth,
 )
 from tests.conftest import LOG_LAM
 
@@ -311,6 +316,148 @@ def test_torus_blocks_match_per_point_loop(request, lebesgue, system, probes, fi
     assert values.tobytes() == want_values.tobytes()
     np.testing.assert_array_equal(accepted, want_accepted)
     assert (accepted > 0).all()
+
+
+def _shift_symbols_reference(x, sys, k_lo, k_hi, rng, probes):
+    """The probe symbols as the per-point shift route built them."""
+    a = sys.alphabet_size
+    width = x.symbols.size
+    base = np.broadcast_to(x.symbols, (probes, width)).copy()
+    ks = rng.integers(k_lo, k_hi + 1, size=probes)
+    sides = np.where(rng.random(probes) < 0.5, 1, -1)
+    coords = np.arange(x.lo, x.hi + 1)
+    rand = rng.integers(0, a, size=(probes, width), dtype=np.int8)
+    outside = np.abs(coords)[None, :] >= ks[:, None]
+    base[outside] = rand[outside]
+    flip_pos = sides * ks - x.lo
+    offset = rng.integers(1, a, size=probes, dtype=np.int8)
+    base[np.arange(probes), flip_pos] = (x.symbols[flip_pos] + offset) % a
+    return base, ks
+
+
+def _shift_ratios_reference(sys, x, r, ns, probes, rng):
+    """The per-point flip route: symbols materialized, weights rebuilt, a loop over k."""
+    n_max = max(ns)
+    k_lo = open_flip_depth(sys, r)
+    k_hi = min(x.hi - 1, -x.lo - 1, k_lo + n_max + 16)
+    if k_hi < k_lo:
+        raise ScaleUnderflow(f"no admissible flip depth: need k in [{k_lo}, {k_hi}] inside the window")
+    symbols, _ = _shift_symbols_reference(x, sys, k_lo, k_hi, rng, probes)
+    accepted = np.zeros((probes, len(ns)), dtype=bool)
+    ratios = np.zeros((probes, len(ns)))
+    diff = symbols != np.broadcast_to(x.symbols, symbols.shape)
+    if isinstance(sys.metric, DyadicMetric):
+        d = 2.0 ** (-_nearest_reference(diff, x.lo, n_max))
+    else:
+        vals = sys.metric.weights.values(max(abs(x.lo), abs(x.hi)) + n_max)
+        coords = np.arange(x.lo, x.hi + 1)
+        wmat = vals[np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])]
+        cap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :]) <= sys.window
+        d = np.sqrt(diff.astype(float) @ (wmat * cap))
+    d0 = d[:, 0]
+    col = {n: j for j, n in enumerate(ns)}
+    run_max = d[:, 0].copy()
+    for k in range(1, n_max + 1):
+        if k in col:
+            j = col[k]
+            ok = (run_max < r) & (d0 > 0.0)
+            accepted[:, j] = ok
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios[:, j] = np.where(ok, d[:, k] / d0, 0.0)
+        run_max = np.maximum(run_max, d[:, k])
+    return accepted, ratios
+
+
+def _shift_table_reference(sys, points, r, ns, probes, seed, r_tag, first_index):
+    """lipschitz_table on a shift as a per-point loop over the reference route."""
+    values = np.full((len(points), len(ns)), np.nan)
+    counts = np.zeros((len(points), len(ns)), dtype=int)
+    for i, x in enumerate(points):
+        rng = rng_for(seed, r_tag, first_index + i)
+        acc, rat = _shift_ratios_reference(sys, x, r, ns, probes, rng)
+        counts[i] = acc.sum(axis=0)
+        values[i] = np.where(acc.any(axis=0), rat.max(axis=0), np.nan)
+    return values, counts
+
+
+_MARKOV = MarkovStationary(((0.7, 0.3), (0.4, 0.6)))
+_SHIFTS = {
+    "dyadic": (FullShift(), 0.2, [1, 3, 8]),
+    "dyadic-inverted": (FullShift(inverted=True), 0.05, [2, 5, 12, 20]),
+    "weighted": (FullShift(metric=WeightedL2Metric()), 0.25, [1, 4, 16]),
+    "weighted-inverted": (FullShift(metric=WeightedL2Metric(), inverted=True), 0.3, [2, 8, 32]),
+}
+
+
+def _assert_table_matches(sys, xs, r, ns, probes, first_index):
+    args = (sys, xs, r, ns, probes, 6, 2, first_index)
+    values, accepted = lipschitz_table(*args)
+    want_values, want_accepted = _shift_table_reference(*args)
+    assert values.tobytes() == want_values.tobytes()  # bit for bit, NaN included
+    np.testing.assert_array_equal(accepted, want_accepted)
+    assert (accepted > 0).any()
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTS))
+@pytest.mark.parametrize("first_index", [0, 17])
+def test_shift_blocks_match_per_point_loop(monkeypatch, name, first_index):
+    sys, r, ns = _SHIFTS[name]
+    probes = 48
+    xs = [sample_point(sys, _MARKOV, 12, i) for i in range(7)]
+    _assert_table_matches(sys, xs[:1], r, ns, probes, first_index)
+    # three points per block: blocks of 3, 3 and 1
+    monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 3 * probes * xs[0].symbols.size)
+    _assert_table_matches(sys, xs, r, ns, probes, first_index)
+
+
+def test_shift_blocks_match_per_point_loop_at_the_default_cap():
+    sys, r, ns = _SHIFTS["dyadic"]
+    probes = 48
+    per_block = geometry._SHIFT_BLOCK_CELLS // (probes * (2 * sys.window + 1))
+    xs = [sample_point(sys, _MARKOV, 13, i) for i in range(per_block + 2)]  # straddles a block
+    _assert_table_matches(sys, xs, r, ns, probes, 0)
+
+
+def test_shift_blocks_split_where_the_stored_window_changes(bern_half):
+    # points stored with different windows never share a block
+    sys = FullShift(window=24)
+    xs = [sample_point(FullShift(window=w), bern_half, 3, i) for i, w in enumerate([16, 16, 24, 16, 24, 24])]
+    _assert_table_matches(sys, xs, 0.2, [1, 4, 6], 32, 5)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTS))
+def test_threaded_shift_table_matches_per_point_loop(name):
+    sys, r, ns = _SHIFTS[name]
+    xs = [sample_point(sys, _MARKOV, 14, i) for i in range(5)]
+    values, accepted = _table_threaded(sys, xs, r, ns, 40, 6, 2, 2)
+    want_values, want_accepted = _shift_table_reference(sys, xs, r, ns, 40, 6, 2, 0)
+    assert values.tobytes() == want_values.tobytes()
+    np.testing.assert_array_equal(accepted, want_accepted)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTS))
+def test_one_point_route_matches_reference(name):
+    sys, r, ns = _SHIFTS[name]
+    x = sample_point(sys, _MARKOV, 15)
+    for probes in (1, 64):
+        acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(3, probes))
+        want_acc, want_rat = _shift_ratios_reference(sys, x, r, ns, probes, rng_for(3, probes))
+        np.testing.assert_array_equal(acc, want_acc)
+        assert rat.tobytes() == want_rat.tobytes()
+        k_lo = open_flip_depth(sys, r)
+        got, _ = _shift_probe_symbols(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
+        want, _ = _shift_symbols_reference(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_shift_table_underflow_matches_reference():
+    sys = FullShift(metric=WeightedL2Metric(), window=16)
+    xs = [sample_point(sys, _MARKOV, 1, i) for i in range(2)]
+    with pytest.raises(ScaleUnderflow, match="no admissible flip depth") as got:
+        lipschitz_table(sys, xs, 0.05, [1, 2], 8, 0)
+    with pytest.raises(ScaleUnderflow) as want:
+        _shift_table_reference(sys, xs, 0.05, [1, 2], 8, 0, 0, 0)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,21 @@ def test_malformed_schedules_rejected(task, field, value):
             {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": 0}},
             "field 'system': window must be >= 1",
         ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[2.7, 1], [1, 1.9]]}},
+            "field 'system': matrix entries must be integers, got 2.7",
+        ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, True]]}},
+            "field 'system': matrix entries must be integers, got True",
+        ),
+        (
+            {"task": "chi", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[2, 1e400], [1, 1]]}},
+            "field 'system': matrix entries must be integers, got inf",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):

@@ -208,6 +208,86 @@ def test_rng_streams_differ_across_tags():
 
 
 # ---------------------------------------------------------------------------
+# array-drawn Markov windows against the per-symbol loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _categorical_reference(rng, cumulative):
+    return int(np.searchsorted(cumulative, rng.random(), side="right"))
+
+
+def _markov_window_reference(oracle, window, rng):
+    """One uniform and one searchsorted per symbol: coordinate 0, then 1..N, then -1..-N."""
+    n = 2 * window + 1
+    out = np.empty(n, dtype=np.int8)
+    cum_f = np.cumsum(oracle.P, axis=1)
+    cum_b = np.cumsum(oracle.backward(), axis=1)
+    out[window] = _categorical_reference(rng, np.cumsum(oracle.pi_vec))
+    for j in range(window + 1, n):
+        out[j] = _categorical_reference(rng, cum_f[out[j - 1]])
+    for j in range(window - 1, -1, -1):
+        out[j] = _categorical_reference(rng, cum_b[out[j + 1]])
+    return out
+
+
+def _conditional_window_reference(oracle, window, rng):
+    """The fixed block, then the chain run outward: its right end first, then its left."""
+    N = window
+    lo_f, hi_f = oracle.block
+    out = np.empty(2 * N + 1, dtype=np.int8)
+    cum_f = np.cumsum(oracle.base.P, axis=1)
+    cum_b = np.cumsum(oracle.base.backward(), axis=1)
+    for i in range(lo_f, hi_f + 1):
+        out[i + N] = oracle.fixed[i]
+    for i in range(hi_f + 1, N + 1):
+        out[i + N] = _categorical_reference(rng, cum_f[out[i - 1 + N]])
+    for i in range(lo_f - 1, -N - 1, -1):
+        out[i + N] = _categorical_reference(rng, cum_b[out[i + 1 + N]])
+    return out
+
+
+_CHAINS = {
+    "two-state": ((0.7, 0.3), (0.4, 0.6)),
+    "three-state-with-zeros": ((0.5, 0.5, 0.0), (0.0, 0.2, 0.8), (0.6, 0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+@pytest.mark.parametrize("window", [8, 256])
+def test_markov_window_matches_per_symbol_reference(chain, window):
+    oracle = MarkovStationary(_CHAINS[chain])
+    sys = FullShift(alphabet_size=oracle.alphabet_size, window=window)
+    for seed in range(40):
+        got = sample_point(sys, oracle, seed, 3).symbols
+        want = _markov_window_reference(oracle, window, rng_for(seed, 3))
+        assert got.tobytes() == want.tobytes(), seed
+    assert {int(s) for s in got} == set(range(oracle.alphabet_size))
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+@pytest.mark.parametrize("window", [8, 256])
+def test_conditional_markov_window_matches_per_symbol_reference(chain, window):
+    base = MarkovStationary(_CHAINS[chain])
+    sys = FullShift(alphabet_size=base.alphabet_size, window=window)
+    x = sample_point(sys, base, 77)  # a sampled window: every block of it has positive mass
+    N = window
+    blocks = {
+        "left-edge": (-N, -N + 2),
+        "right-edge": (N - 2, N),
+        "interior": (-1, 0),
+        "single": (0, 0),
+        "whole-window": (-N, N),
+    }
+    for name, (lo_f, hi_f) in blocks.items():
+        cond = ConditionalShiftOracle(base, {i: x.coord(i) for i in range(lo_f, hi_f + 1)})
+        for seed in range(10):
+            got = sample_point(sys, cond, seed, 5).symbols
+            want = _conditional_window_reference(cond, window, rng_for(seed, 5))
+            assert got.tobytes() == want.tobytes(), (name, seed)
+            assert got[lo_f + N : hi_f + N + 1].tolist() == [cond.fixed[i] for i in range(lo_f, hi_f + 1)]
+
+
+# ---------------------------------------------------------------------------
 # conditional oracles
 # ---------------------------------------------------------------------------
 
