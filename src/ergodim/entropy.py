@@ -38,6 +38,7 @@ from .systems import (
     ToralAutomorphism,
     TorusPoint,
     _int_matrix_power,
+    dyadic_open_depth,
 )
 
 __all__ = [
@@ -194,10 +195,7 @@ def dyadic_agreement_radius(eps: float) -> int:
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    m = 0
-    while 2.0 ** (-m) >= eps:
-        m += 1
-    return m - 1
+    return dyadic_open_depth(eps) - 1
 
 
 @dataclass

@@ -6,7 +6,7 @@ carry the numeric payload separately from wall-clock metadata so that
 re-running a config byte-reproduces the payload.
 
 Everything the harness knows about a task lives in its ``TaskSpec`` entry of
-``TASKS``: option defaults, runner, CSV table, headline and default system.
+``TASKS``: each option's default and type, runner, CSV table, headline and default system.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import inspect
 import json
 import math
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -63,7 +64,6 @@ from .systems import (
 
 __all__ = ["ExperimentConfig", "Report", "TaskSpec", "run_experiment", "emit_report", "TASKS"]
 
-_COMMON_KEYS = {"task", "seed", "system", "oracle", "threads", "window"}
 _SYSTEM_KEYS = {
     "toral_automorphism": {"kind", "matrix"},
     "torus_translation": {"kind", "shift"},
@@ -76,20 +76,91 @@ _ORACLE_KEYS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# option types: each takes a config value and returns an error text, or None
+# ---------------------------------------------------------------------------
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool (``bool`` subclasses ``int``)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _int(lo: int):
+    """An integer >= lo."""
+    wanted = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+    return lambda v: None if _is_int(v) and v >= lo else f"expected {wanted}, got {v!r}"
+
+
+def _number(interval: str):
+    """A number in an interval written like "(0, 1]" or "[0, inf)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = operator.lt if interval[0] == "(" else operator.le
+    below = operator.lt if interval[-1] == ")" else operator.le
+    return lambda v: (None if _is_number(v) and above(lo, v) and below(v, hi)
+                      else f"expected a number in {interval}, got {v!r}")
+
+
+def _schedule(step: int, entry: str, interval: str, integers: bool = False):
+    """A non-empty list of numbers in ``interval``, strictly increasing (step 1) or
+    strictly decreasing (step -1); with ``integers``, every entry is an integer."""
+    number = _number(interval)
+
+    def check(s):
+        if not isinstance(s, (list, tuple)) or not s or not all(map(_is_number, s)):
+            return f"expected a non-empty list of numbers, got {s!r}"
+        if any(b <= a if step > 0 else b >= a for a, b in zip(s, s[1:])):
+            return f"must be strictly {'increasing' if step > 0 else 'decreasing'}, got {s!r}"
+        if any(number(v) or (integers and not _is_int(v)) for v in s):
+            rule = "be an integer in" if integers else "lie in"
+            return f"every {entry} must {rule} {interval}, got {s!r}"
+        return None
+
+    return check
+
+
+def _one_of(*choices):
+    return lambda v: None if v in choices else f"expected one of {list(choices)}, got {v!r}"
+
+
+def _nullable(check):
+    """None, or a value that passes ``check``."""
+    return lambda v: None if v is None else check(v)
+
+
+def _int_window(v):
+    """An integer coordinate window [lo, hi] with lo <= hi."""
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v)) and v[0] <= v[1]:
+        return None
+    return f"expected a pair [lo, hi] of integers with lo <= hi, got {v!r}"
+
+
+_RADII = _schedule(-1, "radius", "(0, inf)")
+_LENGTHS = _schedule(1, "n", "[1, inf)", integers=True)
+_POSITIVE_REAL = _number("(0, inf)")
+# the keys every task takes besides task, system and oracle: name -> (default, type);
+# seed has no default and is required
+_COMMON_OPTIONS = {"seed": (None, _int(0)), "threads": (1, _int(1)),
+                   "window": (None, _nullable(_int(8)))}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task: its options and their defaults, how to run and summarise it.
+    """One task: its options with their defaults and types, how to run and summarise it.
 
     A default of None is resolved by the runner from the system (for example
     the box-counting scales); the report's config echo shows it as null.
     """
 
-    defaults: dict  # option name -> default; the keys are the task's config keys
+    options: dict  # option name -> (default, type); the keys are the task's config keys
     run: Callable  # ExperimentConfig -> (payload, parameters, flags)
     table: Callable  # payload -> (CSV header, CSV rows)
     headline: Callable  # payload -> one-line summary
     system: dict  # system descriptor used when the config names none
-    modes: tuple = ()  # allowed values of the 'mode' option
 
 
 @dataclass
@@ -111,8 +182,8 @@ class ExperimentConfig:
         task = raw.get("task")
         if task not in TASKS:
             raise ConfigInvalid(f"field 'task': expected one of {sorted(TASKS)}, got {task!r}")
-        spec = TASKS[task]
-        allowed = _COMMON_KEYS | set(spec.defaults)
+        typed = {**_COMMON_OPTIONS, **TASKS[task].options}
+        allowed = {"task", "system", "oracle"} | set(typed)
         unknown = sorted(set(raw) - allowed)
         if unknown:
             raise ConfigInvalid(
@@ -121,16 +192,14 @@ class ExperimentConfig:
             )
         if "seed" not in raw:
             raise ConfigInvalid("field 'seed': required (no environment entropy is ever used)")
-        seed = raw["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise ConfigInvalid(f"field 'seed': expected a nonnegative integer, got {seed!r}")
-        threads = raw.get("threads", 1)
-        if not _is_int(threads) or threads < 1:
-            raise ConfigInvalid(f"field 'threads': expected a positive integer, got {threads!r}")
-        window = raw.get("window")
-        if window is not None and (not _is_int(window) or window < 8):
-            raise ConfigInvalid(f"field 'window': expected an integer >= 8, got {window!r}")
-        system = raw.get("system", dict(spec.system))
+        options = {}
+        for name, (default, check) in typed.items():
+            options[name] = raw.get(name, default)
+            error = check(options[name])
+            if error:
+                raise ConfigInvalid(f"field '{name}': {error}")
+        seed, threads, window = (options.pop(key) for key in _COMMON_OPTIONS)
+        system = raw.get("system", dict(TASKS[task].system))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
         oracle = raw.get("oracle", _default_oracle(system))
         _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
@@ -143,17 +212,10 @@ class ExperimentConfig:
                 build()
             except (TypeError, ValueError, NonInvertible) as exc:
                 raise ConfigInvalid(f"field '{label}': {exc}") from exc
-        options = {k: raw[k] for k in raw if k not in _COMMON_KEYS}
-        _validate_options(spec, options)
         return ExperimentConfig(
             task=task, seed=seed, system=system, oracle=oracle,
-            options={**spec.defaults, **options}, threads=threads, window=window,
+            options=options, threads=threads, window=window,
         )
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool (``bool`` subclasses ``int``)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _default_oracle(system: dict) -> dict:
@@ -173,60 +235,20 @@ def _validate_descriptor(desc, table, label):
         raise ConfigInvalid(f"unknown key(s) in '{label}': {', '.join(unknown)}")
 
 
-def _validate_options(spec: TaskSpec, options: dict):
-    def schedule(name):
-        s = options.get(name)
-        if name in options and (
-            not isinstance(s, list)
-            or not s
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in s)
-        ):
-            raise ConfigInvalid(f"field '{name}': expected a non-empty list of numbers, got {s!r}")
-        return s
-
-    def decreasing(name):
-        s = schedule(name)
-        if s is not None and any(b >= a for a, b in zip(s, s[1:])):
-            raise ConfigInvalid(f"field '{name}': must be strictly decreasing, got {s}")
-
-    def increasing(name):
-        s = schedule(name)
-        if s is not None and any(b <= a for a, b in zip(s, s[1:])):
-            raise ConfigInvalid(f"field '{name}': must be strictly increasing, got {s}")
-
-    decreasing("r_schedule")
-    decreasing("eps_schedule")
-    eps = options.get("eps_schedule")
-    if eps is not None and not all(0.0 < e <= 1.0 for e in eps):
-        raise ConfigInvalid(f"field 'eps_schedule': every eps must lie in (0, 1], got {eps}")
-    decreasing("scales")
-    increasing("n_schedule")
-    increasing("n_values")
-    increasing("norm_ks")
-    for name in ("n", "points", "probes", "samples", "paths", "pairs", "cloud_budget", "base_points"):
-        v = options.get(name)
-        if v is not None and (not _is_int(v) or v < 1):
-            raise ConfigInvalid(f"field '{name}': expected a positive integer, got {v!r}")
-    mode = options.get("mode")
-    if "mode" in options and mode not in spec.modes:
-        raise ConfigInvalid(f"field 'mode': expected one of {list(spec.modes)}, got {mode!r}")
-    direction = options.get("direction")
-    if direction is not None and direction not in ("forward", "backward"):
-        raise ConfigInvalid(f"field 'direction': expected 'forward' or 'backward', got {direction!r}")
-
-
-def _matrix_entry(v) -> int:
-    """A torus matrix entry as an int; bools and non-integral numbers are rejected."""
+def _integral(v, rule: str) -> int:
+    """``v`` as an int; bools and non-integral numbers are rejected, citing ``rule``."""
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-        raise ValueError(f"matrix entries must be integers, got {v!r}")
+        raise ValueError(f"{rule}, got {v!r}")
     return int(v)
 
 
-def build_system(desc: dict, window: int | None = None):
+def build_system(desc: dict, window: int | None = None, min_window: int = 0):
+    """The system a descriptor names; a shift keeps at least ``min_window`` coordinates a side."""
     kind = desc["kind"]
     if kind == "toral_automorphism":
         m = desc.get("matrix", [[2, 1], [1, 1]])
-        return ToralAutomorphism(tuple(tuple(_matrix_entry(v) for v in row) for row in m))
+        rule = "matrix entries must be integers"
+        return ToralAutomorphism(tuple(tuple(_integral(v, rule) for v in row) for row in m))
     if kind == "torus_translation":
         sx, sy = desc.get("shift", [0.1234, 0.4321])
         return TorusTranslation((float(sx), float(sy)))
@@ -234,11 +256,15 @@ def build_system(desc: dict, window: int | None = None):
     metric = DyadicMetric() if metric_name == "dyadic" else WeightedL2Metric(default_weights())
     if metric_name not in ("dyadic", "weighted"):
         raise ConfigInvalid(f"field 'system.metric': expected 'dyadic' or 'weighted', got {metric_name!r}")
+    inverted = desc.get("inverted", False)
+    if not isinstance(inverted, bool):
+        raise ValueError(f"inverted must be true or false, got {inverted!r}")
     return FullShift(
-        alphabet_size=int(desc.get("alphabet", 2)),
+        alphabet_size=_integral(desc.get("alphabet", 2), "alphabet must be an integer"),
         metric=metric,
-        window=int(window or desc.get("window", 256)),
-        inverted=bool(desc.get("inverted", False)),
+        window=max(_integral(window or desc.get("window", 256), "window must be an integer"),
+                   min_window),
+        inverted=inverted,
     )
 
 
@@ -293,11 +319,6 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _shift_window_for(cfg: ExperimentConfig, need: int) -> int:
-    base = cfg.window or cfg.system.get("window", 256)
-    return max(int(base), need)
-
-
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Dispatch a validated config and assemble the deterministic report."""
     t0 = time.perf_counter()
@@ -335,19 +356,10 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
 
 def _run_chi(cfg: ExperimentConfig):
-    opts = cfg.options
-    rs = opts["r_schedule"]
-    ns = opts["n_schedule"]
-    window = _shift_window_for(cfg, max(ns) + 64)
-    sys = build_system(cfg.system, window)
+    rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
+    sys = build_system(cfg.system, cfg.window, max(ns) + 64)
     oracle = build_oracle(cfg.oracle)
-    est = estimate_chi(
-        sys, oracle, rs, ns,
-        points=opts["points"],
-        probes=opts["probes"],
-        seed=cfg.seed,
-        threads=cfg.threads,
-    )
+    est = estimate_chi(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {
         "chi": est.value,
         "per_r": [{"r": r, "Lambda": v} for r, v in est.per_r],
@@ -381,7 +393,7 @@ def _run_entropy(cfg: ExperimentConfig):
     opts = cfg.options
     oracle = build_oracle(cfg.oracle)
     lo, hi = opts["alpha_window"]
-    alpha = cylinder_window(int(lo), int(hi), getattr(oracle, "alphabet_size", 2))
+    alpha = cylinder_window(lo, hi, getattr(oracle, "alphabet_size", 2))
     est = block_entropy_rate(
         oracle, alpha, opts["n"],
         mode=opts["mode"],
@@ -395,26 +407,17 @@ def _run_entropy(cfg: ExperimentConfig):
         "stderr": est.stderr,
         "closed_form_rate": entropy_rate(oracle),
     }
-    return payload, {"alpha_window": [int(lo), int(hi)]}, []
+    return payload, {"alpha_window": [lo, hi]}, []
 
 
 def _run_brin_katok(cfg: ExperimentConfig):
-    opts = cfg.options
-    eps = opts["eps_schedule"]
-    ns = opts["n_schedule"]
-    need = max(ns) + 64
-    sys = build_system(cfg.system, _shift_window_for(cfg, need))
+    opts = dict(cfg.options)
+    sys = build_system(cfg.system, cfg.window, max(opts["n_schedule"]) + 64)
     oracle = build_oracle(cfg.oracle)
-    x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
+    x = sample_point(sys, oracle, cfg.seed, opts.pop("point_index"))
     flags = []
     try:
-        rep = brin_katok_local(
-            sys, oracle, x, eps, ns,
-            mode=opts["mode"],
-            samples=opts["samples"],
-            seed=cfg.seed,
-            min_hits=opts["min_hits"],
-        )
+        rep = brin_katok_local(sys, oracle, x, seed=cfg.seed, **opts)
     except HitStarvation as exc:
         flags.append(f"hit starvation: {exc}")
         payload = {"hit_starvation": True, "message": str(exc)}
@@ -459,8 +462,7 @@ def _brin_katok_headline(p):
 def _run_partition_build(cfg: ExperimentConfig):
     opts = cfg.options
     horizon = opts["horizon"]
-    window = _shift_window_for(cfg, 8 * (opts["depth"] + horizon))
-    sys = build_system(cfg.system, window)
+    sys = build_system(cfg.system, cfg.window, 8 * (opts["depth"] + horizon))
     oracle = build_oracle(cfg.oracle)
     plan = construct_subordinate_partition(
         sys, oracle,
@@ -526,8 +528,7 @@ def _partition_build_table(p):
 def _run_smb_check(cfg: ExperimentConfig):
     opts = cfg.options
     ns = opts["n_schedule"]
-    window = _shift_window_for(cfg, max(ns) + 64)
-    sys = build_system(cfg.system, window)
+    sys = build_system(cfg.system, cfg.window, max(ns) + 64)
     oracle = build_oracle(cfg.oracle)
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     rep = local_smb_check(
@@ -545,7 +546,7 @@ def _run_smb_check(cfg: ExperimentConfig):
         "paths": rep.paths,
     }
     if opts["shift_k"] is not None:
-        lemma = shift_lemma_check(oracle, x, int(opts["shift_k"]), ns)
+        lemma = shift_lemma_check(oracle, x, opts["shift_k"], ns)
         payload["shift_lemma"] = {
             "k": lemma.k,
             "base_values": lemma.base_values,
@@ -568,7 +569,7 @@ def _smb_check_headline(p):
 
 def _run_dimension(cfg: ExperimentConfig):
     opts = cfg.options
-    sys = build_system(cfg.system, _shift_window_for(cfg, 128))
+    sys = build_system(cfg.system, cfg.window, 128)
     oracle = build_oracle(cfg.oracle)
     delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
     scales = opts["scales"] if opts["scales"] is not None else default_scales(sys, delta)
@@ -604,7 +605,7 @@ def _run_dimension(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig):
-    sys = build_system(cfg.system, _shift_window_for(cfg, 192))
+    sys = build_system(cfg.system, cfg.window, 192)
     oracle = build_oracle(cfg.oracle)
     rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {
@@ -645,10 +646,10 @@ def _verify_headline(p):
 
 def _run_appendix_hilbert(cfg: ExperimentConfig):
     opts = cfg.options
-    window = _shift_window_for(cfg, 256)
-    sys = build_system(cfg.system, window)
+    sys = build_system(cfg.system, cfg.window, 256)
     if not isinstance(sys.metric, WeightedL2Metric):
         raise ConfigInvalid("appendix-hilbert requires system.metric = 'weighted'")
+    window = sys.window
     oracle = build_oracle(cfg.oracle)
     w = sys.metric.weights
     ks = opts["norm_ks"]
@@ -740,61 +741,76 @@ _WEIGHTED = {"kind": "full_shift", "alphabet": 2, "metric": "weighted"}
 
 # verify's defaults are those of verify_main_inequality, read from its signature
 _VERIFY_PARAMETERS = inspect.signature(verify_main_inequality).parameters
-_VERIFY_OPTIONS = (
-    "direction", "delta", "base_points", "scales", "r_schedule", "n_schedule",
-    "chi_points", "chi_probes", "chi_floor", "back_horizon", "cloud_budget", "past_depth",
-)
+_VERIFY_OPTIONS = {
+    "direction": _one_of("forward", "backward"), "delta": _nullable(_POSITIVE_REAL),
+    "base_points": _int(1), "scales": _nullable(_RADII), "r_schedule": _nullable(_RADII),
+    "n_schedule": _LENGTHS, "chi_points": _int(1), "chi_probes": _int(1),
+    "chi_floor": _number("[0, inf)"), "back_horizon": _int(0), "cloud_budget": _int(1),
+    "past_depth": _int(1),
+}
 
 TASKS = {
     "chi": TaskSpec(
         run=_run_chi, system=_CAT, table=_chi_table,
-        defaults={"r_schedule": (0.2, 0.1, 0.05), "n_schedule": tuple(range(2, 25, 2)),
-                  "points": 256, "probes": 128},
+        options={"r_schedule": ((0.2, 0.1, 0.05), _RADII),
+                 "n_schedule": (tuple(range(2, 25, 2)), _LENGTHS),
+                 "points": (256, _int(1)), "probes": (128, _int(1))},
         headline=lambda p: f"chi = {p['chi']:.6f} from {p['sample_count']} points",
     ),
     "entropy": TaskSpec(
-        run=_run_entropy, system=_DYADIC, modes=("auto", "exact", "monte_carlo"),
-        defaults={"n": 16, "mode": "auto", "samples": 200_000, "alpha_window": (0, 0)},
+        run=_run_entropy, system=_DYADIC,
+        options={"n": (16, _int(1)), "mode": ("auto", _one_of("auto", "exact", "monte_carlo")),
+                 "samples": (200_000, _int(1)), "alpha_window": ((0, 0), _int_window)},
         table=lambda p: (["n", "value", "stderr", "mode"], [[p["n"], p["value"], p["stderr"], p["mode"]]]),
         headline=lambda p: (f"rate = {p['value']:.6f} vs closed form {p['closed_form_rate']:.6f} "
                             f"(n = {p['n']})"),
     ),
     "brin-katok": TaskSpec(
-        run=_run_brin_katok, system=_DYADIC, modes=("exact_cylinder", "monte_carlo"),
-        defaults={"eps_schedule": (0.25, 0.0625), "n_schedule": (10, 20, 30, 40), "mode": "exact_cylinder",
-                  "samples": 100_000, "min_hits": 50, "point_index": 0},
+        run=_run_brin_katok, system=_DYADIC,
+        options={"eps_schedule": ((0.25, 0.0625), _schedule(-1, "eps", "(0, 1]")),
+                 "n_schedule": ((10, 20, 30, 40), _LENGTHS),
+                 "mode": ("exact_cylinder", _one_of("exact_cylinder", "monte_carlo")),
+                 "samples": (100_000, _int(1)), "min_hits": (50, _int(1)),
+                 "point_index": (0, _int(0))},
         table=_brin_katok_table, headline=_brin_katok_headline,
     ),
     "partition-build": TaskSpec(
         run=_run_partition_build, system=_DYADIC, table=_partition_build_table,
-        defaults={"delta": 0.5, "depth": 3, "past_depth": 8, "k_max": 16, "margin": 0.1,
-                  "horizon": 50, "pairs": 100, "point_index": 0},
+        options={"delta": (0.5, _POSITIVE_REAL), "depth": (3, _int(1)), "past_depth": (8, _int(1)),
+                 "k_max": (16, _int(0)), "margin": (0.1, _number("[0, 1)")), "horizon": (50, _int(0)),
+                 "pairs": (100, _int(1)), "point_index": (0, _int(0))},
         headline=lambda p: (f"translation times {p['plan']['ks']}, sup surplus {p['sup_c']:.6f}, "
                             f"atom violations {p['atom_check']['violations']}"),
     ),
     "smb-check": TaskSpec(
         run=_run_smb_check, system=_DYADIC, headline=_smb_check_headline,
         # shift_k None skips the dropped-prefix comparison
-        defaults={"n_schedule": (100, 400, 1000, 4000, 10_000), "past_depth": 8, "paths": 200,
-                  "point_index": 0, "shift_k": None},
+        options={"n_schedule": ((100, 400, 1000, 4000, 10_000), _LENGTHS),
+                 "past_depth": (8, _int(1)), "paths": (200, _int(1)), "point_index": (0, _int(0)),
+                 "shift_k": (None, _nullable(_int(1)))},
         table=lambda p: (["n", "mean_ratio"], [[n, v] for n, v in zip(p["n_schedule"], p["mean_per_n"])]),
     ),
     "dimension": TaskSpec(
         run=_run_dimension, system=_CAT,
-        defaults={"delta": None, "scales": None, "back_horizon": 40, "cloud_budget": 10_000,
-                  "point_index": 0, "admission_tolerance": None},
+        options={"delta": (None, _nullable(_POSITIVE_REAL)), "scales": (None, _nullable(_RADII)),
+                 "back_horizon": (40, _int(0)), "cloud_budget": (10_000, _int(1)),
+                 "point_index": (0, _int(0)), "admission_tolerance": (None, _nullable(_POSITIVE_REAL))},
         table=lambda p: (["scale", "count", "log_scale", "log_count"],
                          [[s, c, math.log(s), math.log(c)] for s, c in zip(p["scales"], p["counts"])]),
         headline=lambda p: f"box slope {p['slope']:.4f} from {p['admitted']} admitted points",
     ),
     "verify": TaskSpec(
         run=_run_verify, system=_CAT, table=_verify_table, headline=_verify_headline,
-        defaults={k: _VERIFY_PARAMETERS[k].default for k in _VERIFY_OPTIONS},
+        options={k: (_VERIFY_PARAMETERS[k].default, t) for k, t in _VERIFY_OPTIONS.items()},
     ),
     "appendix-hilbert": TaskSpec(
         run=_run_appendix_hilbert, system=_WEIGHTED,
-        defaults={"norm_ks": (25, 50, 75, 100, 125, 150, 175, 200), "n_schedule": (8, 16, 32, 64, 128),
-                  "r_schedule": (0.4, 0.3, 0.2), "delta": 0.5, "octaves": 4, "points": 128, "probes": 64},
+        options={"norm_ks": ((25, 50, 75, 100, 125, 150, 175, 200),
+                             _schedule(1, "k", "[1, inf)", integers=True)),
+                 "n_schedule": ((8, 16, 32, 64, 128), _LENGTHS),
+                 "r_schedule": ((0.4, 0.3, 0.2), _RADII),
+                 "delta": (0.5, _POSITIVE_REAL), "octaves": (4, _int(1)), "points": (128, _int(1)),
+                 "probes": (64, _int(1))},
         table=lambda p: (["k", "norm_rate"], [[k, r] for k, r in zip(p["norm_ks"], p["norm_rates"])]),
         headline=lambda p: (f"chi = {p['chi']:.4f}, norm rate at k = {p['norm_ks'][-1]} is "
                             f"{p['rate_at_max_k']:.4f}, "
@@ -802,7 +818,9 @@ TASKS = {
     ),
     "hamming-bounds": TaskSpec(
         run=_run_hamming_bounds, system=_DYADIC, table=_hamming_bounds_table,
-        defaults={"eps": 0.04, "alphabet": 2, "n_values": tuple(range(12, 31))},
+        # the counting constant needs 0 < 2 sqrt(eps) < 1
+        options={"eps": (0.04, _number("(0, 0.25)")), "alphabet": (2, _int(2)),
+                 "n_values": (tuple(range(12, 31)), _LENGTHS)},
         headline=lambda p: (f"{len(p['rows'])} sizes checked, stirling holds for all = "
                             f"{all(r['stirling_holds'] for r in p['rows'])}, "
                             f"crude failures {p['crude_failures']}"),

@@ -429,16 +429,17 @@ def word_distribution(oracle: MeasureOracle, indices, budget: int = ATOM_BUDGET)
     return probs
 
 
-def sample_symbol_block(oracle: MeasureOracle, length: int, count: int, rng) -> np.ndarray:
-    """``count`` independent words of ``length`` consecutive symbols, as an array."""
+def sample_symbol_block(oracle: MeasureOracle, length: int, count: int, rng, after=None) -> np.ndarray:
+    """``count`` independent words of ``length`` consecutive symbols, as an array; a Markov
+    word starts from pi, or from the transition row of ``after``, the symbol before it."""
     if isinstance(oracle, BernoulliIID):
         return rng.choice(oracle.alphabet_size, size=(count, length), p=oracle.p).astype(np.int8)
     if isinstance(oracle, MarkovStationary):
         out = np.empty((count, length), dtype=np.int8)
-        cum_pi = np.cumsum(oracle.pi_vec)
         cum_f = np.cumsum(oracle.P, axis=1)
+        first = np.cumsum(oracle.pi_vec) if after is None else cum_f[after]
         u = rng.random((count, length))
-        out[:, 0] = np.searchsorted(cum_pi, u[:, 0], side="right")
+        out[:, 0] = (u[:, 0:1] >= first).sum(axis=1)
         for t in range(1, length):
             rows = cum_f[out[:, t - 1]]
             out[:, t] = (u[:, t : t + 1] >= rows).sum(axis=1)

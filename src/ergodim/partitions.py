@@ -39,6 +39,7 @@ from .measures import (
     entropy_rate,
     marginal_entropy,
     rng_for,
+    sample_symbol_block,
 )
 from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric
 
@@ -464,24 +465,6 @@ class SmbReport:
     per_path_final: list
 
 
-def _conditional_future_blocks(cond: ConditionalShiftOracle, length: int, count: int, rng):
-    base = cond.base
-    if isinstance(base, BernoulliIID):
-        return rng.choice(base.alphabet_size, size=(count, length), p=base.p).astype(np.int8)
-    if isinstance(base, MarkovStationary):
-        out = np.empty((count, length), dtype=np.int8)
-        cum_f = np.cumsum(base.P, axis=1)
-        state0 = cond.fixed[-1]
-        u = rng.random((count, length))
-        rows = cum_f[np.full(count, state0)]
-        out[:, 0] = (u[:, 0:1] >= rows).sum(axis=1)
-        for t in range(1, length):
-            rows = cum_f[out[:, t - 1]]
-            out[:, t] = (u[:, t : t + 1] >= rows).sum(axis=1)
-        return out
-    raise UnsupportedOracle(f"cannot sample conditional futures of {type(base).__name__}")
-
-
 def _conditional_block_log_mass(cond: ConditionalShiftOracle, blocks: np.ndarray) -> np.ndarray:
     """log mu_x of the cylinder 0..N-1 on each row, cumulatively for every prefix.
 
@@ -525,7 +508,7 @@ def local_smb_check(
         raise ValueError("n schedule must be nonempty with positive entries")
     cond = disintegrate_past(oracle, past_depth, x)
     rng = rng_for(seed, 101)
-    blocks = _conditional_future_blocks(cond, ns[-1], paths, rng)
+    blocks = sample_symbol_block(cond.base, ns[-1], paths, rng, after=cond.fixed[-1])
     log_mass = _conditional_block_log_mass(cond, blocks)
     cols = np.array(ns) - 1
     ratios = -log_mass[:, cols] / np.array(ns, dtype=float)[None, :]
@@ -574,8 +557,8 @@ def shift_lemma_check(oracle, x: SymbolicPoint, k: int, n_schedule) -> ShiftLemm
     log_prefix = _stationary_block_log_mass(oracle, syms)
     base, shifted = [], []
     for n in ns:
-        base.append(-float(log_prefix[(0, n)]) / n)
-        shifted.append(-float(log_prefix[(k, n)]) / n)
+        base.append(-float(log_prefix(0, n)) / n)
+        shifted.append(-float(log_prefix(k, n)) / n)
     half = len(ns) // 2
     tb = float(np.mean(base[half:]))
     ts = float(np.mean(shifted[half:]))
@@ -593,7 +576,7 @@ def shift_lemma_check(oracle, x: SymbolicPoint, k: int, n_schedule) -> ShiftLemm
 
 
 def _stationary_block_log_mass(oracle, syms: np.ndarray):
-    """log mu of contiguous blocks of x: a dict (start, end) -> log measure.
+    """log mu of contiguous blocks of x: a function (start, end) -> log measure.
 
     Only the block shapes needed by shift_lemma_check are materialized:
     (0, n) and (k, n) for all n, via cumulative transition sums.
@@ -601,24 +584,15 @@ def _stationary_block_log_mass(oracle, syms: np.ndarray):
     if isinstance(oracle, BernoulliIID):
         logs = np.log(oracle.p)[syms]
         cum = np.concatenate([[0.0], np.cumsum(logs)])  # cum[j] = sum of first j
-        return _BlockMass(lambda s, e: cum[e + 1] - cum[s])
+        return lambda s, e: cum[e + 1] - cum[s]
     if isinstance(oracle, MarkovStationary):
         P = oracle.P
         pi = oracle.pi_vec
         trans = np.log(P[syms[:-1], syms[1:]])
         cum = np.concatenate([[0.0], np.cumsum(trans)])  # cum[j] = first j transitions
         logpi = np.log(pi[syms])
-        return _BlockMass(lambda s, e: logpi[s] + cum[e] - cum[s])
+        return lambda s, e: logpi[s] + cum[e] - cum[s]
     raise UnsupportedOracle(f"no block masses for {type(oracle).__name__}")
-
-
-class _BlockMass:
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __getitem__(self, key):
-        s, e = key
-        return self._fn(s, e)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "weighted_norm",
     "weighted_tail_bound",
     "open_flip_depth",
+    "dyadic_open_depth",
     "dyadic_depth",
     "cylinder_depth",
     "one_sided_depth",
@@ -461,27 +462,31 @@ def weighted_tail_bound(weights: WeightSequence, radius: int) -> float:
 def open_flip_depth(sys: FullShift, r: float) -> int:
     """Smallest depth k at which one flipped symbol sits at distance below r (open ball).
 
-    Weighted depths stop at the window.  The dyadic depth is exact: the least
-    k with 2**-k < r, read from the binary exponent of r.
+    Weighted depths stop at the window; dyadic depths are exact (``dyadic_open_depth``).
     """
     if isinstance(sys.metric, DyadicMetric):
-        if not 0.0 < r < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {r}")
-        # r = m * 2**e exactly, with 0.5 <= m < 1: 2**(e - 1) < r unless m = 0.5
-        m, e = math.frexp(r)
-        return 2 - e if m == 0.5 else 1 - e
+        return dyadic_open_depth(r)
     k = 1
     while weighted_tail_bound(sys.metric.weights, k - 1) >= r and k < sys.window:
         k += 1
     return k
 
 
+def dyadic_open_depth(r: float) -> int:
+    """Least k with 2**-k < r (open ball), read from the binary exponent of r."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+    # r = m * 2**e exactly, with 0.5 <= m < 1: 2**(e - 1) < r unless m = 0.5
+    m, e = math.frexp(r)
+    return 2 - e if m == 0.5 else 1 - e
+
+
 def dyadic_depth(eps: float) -> int:
-    """Smallest k >= 0 with 2**-k <= eps (closed ball)."""
-    k = 0
-    while 2.0 ** (-k) > eps:
-        k += 1
-    return k
+    """Smallest k >= 0 with 2**-k <= eps (closed ball), read from the binary exponent of eps."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {eps}")
+    # eps = m * 2**e exactly, with 0.5 <= m < 1, so 2**(e - 1) <= eps < 2**e
+    return max(0, 1 - math.frexp(eps)[1])
 
 
 def cylinder_depth(weights: WeightSequence, alphabet: int, eps: float, limit: int) -> int:

@@ -91,6 +91,18 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
              "system": {"kind": "toral_automorphism", "matrix": [[True, 1], [1, 1]]}},
             "field 'system': matrix entries must be integers, got True",
         ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": 2.7}},
+            "field 'system': alphabet must be an integer, got 2.7",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": 16.9}},
+            "field 'system': window must be an integer, got 16.9",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "inverted": "no"}},
+            "field 'system': inverted must be true or false, got 'no'",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

@@ -24,6 +24,7 @@ from ergodim.dimension import (
     unstable_cover_counts,
     verify_main_inequality,
 )
+from ergodim.entropy import dyadic_agreement_radius
 from ergodim.errors import (
     EmptyCloud,
     MassStarvation,
@@ -44,6 +45,7 @@ from ergodim.systems import (
     WeightedL2Metric,
     distance,
     dyadic_depth,
+    dyadic_open_depth,
     iterate,
     one_sided_depth,
     open_flip_depth,
@@ -495,6 +497,22 @@ def _old_cloud_depth(sys, delta):
     return m_delta
 
 
+def _old_dyadic_depth(eps):
+    """systems: ``dyadic_depth``."""
+    k = 0
+    while 2.0 ** (-k) > eps:
+        k += 1
+    return k
+
+
+def _old_agreement_radius(eps):
+    """entropy: ``dyadic_agreement_radius``."""
+    m = 0
+    while 2.0 ** (-m) >= eps:
+        m += 1
+    return m - 1
+
+
 def _old_box_radius(sys, eps):
     """dimension: ``_symbolic_box_radius``."""
     if isinstance(sys.metric, DyadicMetric):
@@ -570,6 +588,23 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
         assert cloud_depth == _old_cloud_depth(sys, r), r
         assert _outcome(_symbolic_box_radius, sys, r) == _outcome(_old_box_radius, sys, r), r
         assert unstable_cover_counts(sys, r, octaves=0)["m_delta"] == _old_cover_depth(sys, r), r
+    if dyadic:
+        # every power of two down to the least subnormal, its float neighbours, random radii
+        powers = [2.0**-j for j in range(1075)]
+        radii = [math.nextafter(r, to) for r in powers for to in (0.0, math.inf)] + powers
+        radii += list(np.random.default_rng(0).random(2000))
+        for r in (r for r in radii if r > 0.0):
+            assert dyadic_depth(r) == _old_dyadic_depth(r), r
+            if r <= 1.0:
+                assert dyadic_agreement_radius(r) == _old_agreement_radius(r), r
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, -0.0, math.inf, math.nan])
+def test_dyadic_depths_reject_radii_that_are_not_positive_and_finite(r):
+    # the closed-ball loop never ended for r <= 0
+    for depth in (dyadic_depth, dyadic_open_depth):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            depth(r)
 
 
 def test_depth_grid_reaches_the_caps():

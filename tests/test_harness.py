@@ -3,9 +3,12 @@ import csv
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ergodim.errors import ConfigInvalid, TaskFailed
 from ergodim.harness import (
@@ -218,6 +221,70 @@ def test_malformed_schedules_rejected(task, field, value):
              "system": {"kind": "toral_automorphism", "matrix": [[2, 1e400], [1, 1]]}},
             "field 'system': matrix entries must be integers, got inf",
         ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": 2.7}},
+            "field 'system': alphabet must be an integer, got 2.7",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": True}},
+            "field 'system': alphabet must be an integer, got True",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": 16.9}},
+            "field 'system': window must be an integer, got 16.9",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "inverted": "no"}},
+            "field 'system': inverted must be true or false, got 'no'",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "inverted": 0}},
+            "field 'system': inverted must be true or false, got 0",
+        ),
+        (
+            {"task": "partition-build", "seed": 0, "delta": -1},
+            "field 'delta': expected a number in \\(0, inf\\), got -1",
+        ),
+        (
+            {"task": "verify", "seed": 0, "delta": 0.0},
+            "field 'delta': expected a number in \\(0, inf\\), got 0.0",
+        ),
+        (
+            {"task": "dimension", "seed": 0, "scales": [0.1, 0.0]},
+            "field 'scales': every radius must lie in \\(0, inf\\)",
+        ),
+        (
+            {"task": "chi", "seed": 0, "r_schedule": [float("inf"), 0.1]},
+            "field 'r_schedule': every radius must lie in \\(0, inf\\)",
+        ),
+        (
+            {"task": "chi", "seed": 0, "n_schedule": [2, 4.5]},
+            "field 'n_schedule': every n must be an integer in \\[1, inf\\)",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "alpha_window": [3, 1]},
+            "field 'alpha_window': expected a pair \\[lo, hi\\] of integers with lo <= hi",
+        ),
+        (
+            {"task": "partition-build", "seed": 0, "margin": 1.0},
+            "field 'margin': expected a number in \\[0, 1\\)",
+        ),
+        (
+            {"task": "hamming-bounds", "seed": 0, "eps": 0.25},
+            "field 'eps': expected a number in \\(0, 0.25\\)",
+        ),
+        (
+            {"task": "hamming-bounds", "seed": 0, "alphabet": 1},
+            "field 'alphabet': expected an integer >= 2, got 1",
+        ),
+        (
+            {"task": "smb-check", "seed": 0, "shift_k": 0},
+            "field 'shift_k': expected a positive integer, got 0",
+        ),
+        (
+            {"task": "verify", "seed": 0, "chi_floor": float("nan")},
+            "field 'chi_floor': expected a number in \\[0, inf\\), got nan",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):
@@ -232,6 +299,65 @@ def test_mode_and_direction_validation():
         ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "mode": "plugin"})
     with pytest.raises(ConfigInvalid, match="direction"):
         ExperimentConfig.from_dict({"task": "verify", "seed": 0, "direction": "sideways"})
+
+
+# every option of every task, from the registry
+OPTIONS = [(task, name) for task, spec in TASKS.items() for name in spec.options]
+
+
+@pytest.mark.parametrize("task, name", OPTIONS)
+def test_every_option_is_type_checked(task, name):
+    for value in ("x", True, {}):
+        with pytest.raises(ConfigInvalid, match=f"field '{name}'"):
+            ExperimentConfig.from_dict({"task": task, "seed": 0, name: value})
+
+
+def test_option_types_admit_their_edges():
+    cfg = ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "alpha_window": [-2, 3]})
+    assert cfg.options["alpha_window"] == [-2, 3]
+    cfg = ExperimentConfig.from_dict({"task": "verify", "seed": 0, "chi_floor": 0, "delta": None})
+    assert cfg.options["chi_floor"] == 0 and cfg.options["delta"] is None
+    cfg = ExperimentConfig.from_dict({"task": "partition-build", "seed": 0, "margin": 0, "k_max": 0})
+    assert cfg.options["margin"] == 0 and cfg.options["k_max"] == 0
+
+
+def _like(default):
+    """Values shaped like a registry default: the default, numbers near it, sorted and
+    unsorted lists, and JSON of any other shape."""
+    numbers = st.integers(-3, 300) | st.floats(-2.0, 2.0) | st.sampled_from([math.inf, math.nan])
+    lists = st.lists(numbers, max_size=6)
+    words = st.sampled_from(["auto", "exact", "monte_carlo", "exact_cylinder", "forward", "sideways"])
+    other = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+        max_leaves=6,
+    )
+    return (st.just(default) | numbers | lists | lists.map(sorted)
+            | lists.map(lambda v: sorted(v, reverse=True)) | words | other)
+
+
+@given(st.data())
+def test_from_dict_fuzz(data):
+    """Every input ends as ConfigInvalid or as a config whose options all pass their types."""
+    task = data.draw(st.sampled_from(sorted(TASKS)))
+    spec = TASKS[task]
+    defaults = {"seed": 0, "threads": 1, "window": None, **{k: d for k, (d, _) in spec.options.items()}}
+    raw = {"task": task, "seed": data.draw(st.integers(0, 2**63))}
+    for name in data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3)):
+        raw[name] = data.draw(_like(defaults[name]), label=name)
+    if data.draw(st.sampled_from([False, False, False, True])):
+        raw[data.draw(st.text(min_size=1, max_size=6), label="key")] = 0
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigInvalid as exc:
+        field = re.match(r"field '(\w+)'", str(exc))
+        if field and field.group(1) in spec.options:
+            _, check = spec.options[field.group(1)]
+            assert check(raw[field.group(1)]) is not None
+        return
+    assert set(cfg.options) == set(spec.options)
+    for name, (_, check) in spec.options.items():
+        assert check(cfg.options[name]) is None, name
 
 
 def test_build_system_and_oracle():
@@ -427,13 +553,30 @@ def test_registry_entry_is_complete(task):
     spec = TASKS[task]
     ExperimentConfig.from_dict(json.loads((ROOT / "configs" / f"{task}.json").read_text()))
     rep = run(TINY_CONFIGS[task])
-    assert set(rep.config) == set(spec.defaults) | COMMON_KEYS
-    for key, default in spec.defaults.items():
+    assert set(rep.config) == set(spec.options) | COMMON_KEYS
+    for key, (default, _) in spec.options.items():
         if key not in TINY_CONFIGS[task]:
             assert rep.config[key] == json.loads(json.dumps(default)), key
     header, rows = spec.table(rep.payload)
     assert rows and all(len(row) == len(header) for row in rows)
     assert spec.headline(rep.payload)
+
+
+@pytest.mark.parametrize("task", sorted(TINY_CONFIGS))
+def test_config_echo_is_a_valid_config(task):
+    rep = run(TINY_CONFIGS[task])
+    again = run(rep.config)
+    assert again.config == rep.config
+    assert again.payload_bytes() == rep.payload_bytes()
+
+
+def test_readme_options_table_names_the_registry_options():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("Per-task options and their defaults.")[1].split("The `null` defaults")[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| [^|]+ \| (.+) \|$", table, re.M)
+    assert [task for task, _ in rows] == list(TASKS)
+    for task, options in rows:
+        assert re.findall(r"`(\w+)`", options) == list(TASKS[task].options), task
 
 
 def test_run_all_prints_each_headline(tmp_path, capsys):
