@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import linregress
@@ -100,6 +100,18 @@ class PointCloud:
     def torus_coords(self) -> np.ndarray:
         """(N, 2) float coordinates, exactly as ``TorusPoint.from_ints`` gives them."""
         return (self.rows % FIXED_DENOM) / FIXED_DENOM
+
+    def translated(self, x) -> "PointCloud":
+        """This torus cloud moved to base point ``x``.
+
+        Torus admission reads only the displacement y - base, so the cloud of
+        any other base point is this one translated by x - base.
+        """
+        if self.kind != "torus":
+            raise ValueError("only torus clouds are translates of one another")
+        step = np.array(x.ints(), dtype=np.int64) - np.array(self.base.ints(), dtype=np.int64)
+        return replace(self, rows=(self.rows + step) % FIXED_DENOM, base=x,
+                       diagnostics=dict(self.diagnostics))
 
 
 class _CloudPoints(Sequence):
@@ -782,13 +794,19 @@ def verify_main_inequality(
 
     slopes = []
     mass_liminfs = []
+    template = None  # the first torus cloud; later base points translate it
     for i in range(base_points):
         try:
             x = sample_point(work_sys, work_oracle, seed, 1000 + i)
-            cloud = sample_unstable_set(
-                work_sys, work_oracle, x, delta,
-                back_horizon=back_horizon, budget=cloud_budget, seed=seed + i,
-            )
+            if template is not None:
+                cloud = template.translated(x)
+            else:
+                cloud = sample_unstable_set(
+                    work_sys, work_oracle, x, delta,
+                    back_horizon=back_horizon, budget=cloud_budget, seed=seed + i,
+                )
+                if cloud.kind == "torus":
+                    template = cloud
             est = box_counting_dimension(cloud, scales, sys=work_sys)
             slopes.append(est.slope)
             if not est.monotone:

@@ -528,6 +528,9 @@ def _partition_build_table(p):
 def _run_smb_check(cfg: ExperimentConfig):
     opts = cfg.options
     ns = opts["n_schedule"]
+    if opts["shift_k"] is not None and opts["shift_k"] >= ns[0]:
+        raise ConfigInvalid(f"field 'shift_k': must be below every n_schedule entry, "
+                            f"got {opts['shift_k']} with n_schedule {ns!r}")
     sys = build_system(cfg.system, cfg.window, max(ns) + 64)
     oracle = build_oracle(cfg.oracle)
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
@@ -647,8 +650,8 @@ def _verify_headline(p):
 def _run_appendix_hilbert(cfg: ExperimentConfig):
     opts = cfg.options
     sys = build_system(cfg.system, cfg.window, 256)
-    if not isinstance(sys.metric, WeightedL2Metric):
-        raise ConfigInvalid("appendix-hilbert requires system.metric = 'weighted'")
+    if not (isinstance(sys, FullShift) and isinstance(sys.metric, WeightedL2Metric)):
+        raise ConfigInvalid("appendix-hilbert requires a full_shift system with metric 'weighted'")
     window = sys.window
     oracle = build_oracle(cfg.oracle)
     w = sys.metric.weights

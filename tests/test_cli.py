@@ -103,6 +103,14 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "inverted": "no"}},
             "field 'system': inverted must be true or false, got 'no'",
         ),
+        (
+            {"task": "appendix-hilbert", "seed": 0, "system": {"kind": "toral_automorphism"}},
+            "appendix-hilbert requires a full_shift system with metric 'weighted'",
+        ),
+        (
+            {"task": "smb-check", "seed": 0, "n_schedule": [2, 4], "paths": 4, "shift_k": 3},
+            "field 'shift_k': must be below every n_schedule entry",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

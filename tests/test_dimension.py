@@ -19,6 +19,7 @@ from ergodim.dimension import (
     _torus_candidates,
     _unstable_direction,
     box_counting_dimension,
+    default_scales,
     local_dimension_lower,
     sample_unstable_set,
     unstable_cover_counts,
@@ -46,6 +47,7 @@ from ergodim.systems import (
     distance,
     dyadic_depth,
     dyadic_open_depth,
+    invert,
     iterate,
     one_sided_depth,
     open_flip_depth,
@@ -96,6 +98,92 @@ def test_torus_admission_verified_definitionally(cat, cat_cloud):
         if i == cloud.back_horizon:
             assert (d <= cloud.admission_tolerance + 1e-15).all()
         cur = (cur @ Minv.T) % FIXED_DENOM
+
+
+def _cloud_fields(cloud):
+    return (cloud.base.ints(), cloud.admitted, cloud.rejected, cloud.collinearity_residual,
+            cloud.diagnostics, cloud.delta, cloud.back_horizon, cloud.admission_tolerance)
+
+
+@pytest.mark.parametrize("matrix", [((2, 1), (1, 1)), ((1, -1), (-1, 2)), ((3, 2), (1, 1))])
+def test_translated_cloud_equals_sampling_at_the_new_base(matrix, lebesgue):
+    # ((1, -1), (-1, 2)) is the inverse of the cat map: the backward-direction system
+    sys = ToralAutomorphism(matrix)
+    x0 = sample_point(sys, lebesgue, 0, 1000)
+    template = sample_unstable_set(sys, lebesgue, x0, 0.05, back_horizon=40, budget=3000)
+    bases = [sample_point(sys, lebesgue, s, 1000 + i) for s, i in ((0, 1), (0, 7), (3, 2))]
+    bases += [TorusPoint(0.0, 0.0), TorusPoint.from_ints(FIXED_DENOM - 1, FIXED_DENOM - 1)]
+    for x in bases:
+        moved = template.translated(x)
+        direct = sample_unstable_set(sys, lebesgue, x, 0.05, back_horizon=40, budget=3000)
+        assert moved.rows.dtype == direct.rows.dtype
+        assert np.array_equal(moved.rows, direct.rows)
+        assert moved.base is x
+        assert _cloud_fields(moved) == _cloud_fields(direct)
+        assert moved.diagnostics is not template.diagnostics
+    assert template.base is x0
+
+
+def test_shift_clouds_are_not_translated(shift_cloud):
+    _, _, x, cloud = shift_cloud
+    with pytest.raises(ValueError, match="torus"):
+        cloud.translated(x)
+
+
+def _spy_on_sampling(monkeypatch):
+    import ergodim.dimension as dimension
+
+    calls = []
+    real = dimension.sample_unstable_set
+
+    def spy(sys, oracle, x, delta, **kwargs):
+        try:
+            cloud = real(sys, oracle, x, delta, **kwargs)
+        except Exception as exc:
+            calls.append((x, f"{type(exc).__name__}: {exc}"))
+            raise
+        calls.append((x, cloud))
+        return cloud
+
+    monkeypatch.setattr(dimension, "sample_unstable_set", spy)
+    return calls
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_verify_samples_the_torus_cloud_once(monkeypatch, cat, lebesgue, direction):
+    calls = _spy_on_sampling(monkeypatch)
+    rep = verify_main_inequality(
+        cat, lebesgue, direction=direction, base_points=5, cloud_budget=3000,
+        chi_points=16, chi_probes=16, n_schedule=(2, 4), seed=2,
+    )
+    assert len(calls) == 1
+    work = cat if direction == "forward" else invert(cat)
+    scales = default_scales(work, 0.05)
+    expected = []
+    for i in range(5):
+        x = sample_point(work, lebesgue, 2, 1000 + i)
+        cloud = sample_unstable_set(work, lebesgue, x, 0.05, back_horizon=40, budget=3000)
+        expected.append(box_counting_dimension(cloud, scales, sys=work).slope)
+    assert rep.per_point_slopes == expected
+    assert rep.flags == []
+
+
+def test_failing_torus_admission_flags_every_base_point(monkeypatch, cat, lebesgue):
+    # admission that fails does not depend on the base point, so no cloud is
+    # ever translated: every base point samples and fails on its own
+    calls = _spy_on_sampling(monkeypatch)
+    with pytest.raises(EmptyCloud, match="no base point produced"):
+        verify_main_inequality(
+            cat, lebesgue, delta=1e-7, base_points=4, chi_points=16, chi_probes=16,
+            n_schedule=(2, 4), seed=0,
+        )
+    assert [x.ints() for x, _ in calls] == [
+        sample_point(cat, lebesgue, 0, 1000 + i).ints() for i in range(4)
+    ]
+    for x, outcome in calls:
+        with pytest.raises(EmptyCloud) as direct:
+            sample_unstable_set(cat, lebesgue, x, 1e-7, back_horizon=40, budget=10_000)
+        assert outcome == f"EmptyCloud: {direct.value}"
 
 
 def test_torus_cloud_empty_below_resolution(cat, lebesgue):

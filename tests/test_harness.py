@@ -463,6 +463,19 @@ def test_config_errors_pass_through():
              "norm_ks": [25, 50], "n_schedule": [2, 4], "points": 8, "probes": 8})
 
 
+@pytest.mark.parametrize("shift_k, n_schedule", [(3, [2, 4]), (3, [3, 4]), (8, [4, 8, 16])])
+def test_smb_shift_k_must_stay_below_the_schedule(monkeypatch, shift_k, n_schedule):
+    import ergodim.harness as harness
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was rejected")
+
+    monkeypatch.setattr(harness, "sample_point", no_sampling)
+    with pytest.raises(ConfigInvalid, match="field 'shift_k': must be below every n_schedule"):
+        run({"task": "smb-check", "seed": 0, "n_schedule": n_schedule, "paths": 4,
+             "shift_k": shift_k})
+
+
 def test_starved_monte_carlo_is_flagged_not_fatal():
     rep = run({"task": "brin-katok", "seed": 0, "mode": "monte_carlo", "samples": 500,
                "eps_schedule": [0.3], "n_schedule": [8, 12]})
