@@ -4,12 +4,18 @@
 Usage:
     python3 scripts/print_report.py reports/verify.json [--payload-only]
 
-Shows the config echo, fixed parameters, flags, and the payload with long
-arrays elided, so a report can be inspected without scrolling raw JSON.
+Shows the task's one-line headline, the config echo, fixed parameters, flags,
+and the payload with long arrays elided, so a report can be inspected without
+scrolling raw JSON.
 """
 import argparse
 import json
+import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ergodim.harness import TASKS  # noqa: E402
 
 
 def elide(obj, max_items=6):
@@ -36,6 +42,7 @@ def main() -> int:
     print(f"task: {doc['task']}   schema: {doc['schema_version']}")
     print(f"wall clock: {doc['meta']['wall_clock_s']:.2f}s   "
           f"toolkit: {doc['meta']['toolkit_version']}")
+    print(f"headline: {TASKS[doc['task']].headline(doc['payload'])}")
     print("\nconfig:")
     print(json.dumps(doc["config"], indent=2))
     print("\nparameters:")

@@ -16,7 +16,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import linregress
 
 from .entropy import dyadic_agreement_radius
 from .errors import (
@@ -468,6 +467,24 @@ def _cloud_box_counts(cloud: PointCloud, sys, scales, origin_shift: float = 0.0)
     return counts
 
 
+def _fit_line(x, y):
+    """Least-squares slope of y on x and its standard error, for n >= 3 points.
+
+    Population (co)variances, a correlation clipped to [-1, 1] (nan for a
+    constant y) and n - 2 degrees of freedom: the textbook ``linregress``
+    arithmetic in its exact operation order, so the floats match it bit for
+    bit (pinned in ``tests/test_dimension.py``).
+    """
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    return float(ssxym / ssxm), float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
+
+
 def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEstimate:
     """Slope of log N(eps) against log(1/eps) over occupied half-open boxes.
 
@@ -494,8 +511,7 @@ def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEsti
         slope, stderr = 0.0, 0.0
         est_ci = (0.0, 0.0)
     else:
-        fit = linregress(logs, logc)
-        slope, stderr = float(fit.slope), float(fit.stderr)
+        slope, stderr = _fit_line(logs, logc)
         est_ci = (slope - 1.96 * stderr, slope + 1.96 * stderr)
     alt = None
     if cloud.kind == "torus":
@@ -504,7 +520,7 @@ def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEsti
         if np.allclose(alt_logc, alt_logc[0]):
             alt = 0.0
         else:
-            alt = float(linregress(logs, alt_logc).slope)
+            alt = _fit_line(logs, alt_logc)[0]
     return DimensionEstimate(
         scales=kept,
         counts=counts,
@@ -591,14 +607,14 @@ def local_dimension_lower(
         )
     log_r = np.log(np.array(kept))
     ratios = log_mass / log_r
-    fit = linregress(log_r, log_mass)
+    slope, stderr = _fit_line(log_r, log_mass)
     tail = ratios[len(ratios) // 2 :]
     return DimensionEstimate(
         scales=kept,
         counts=[float(np.exp(v)) for v in log_mass],
-        slope=float(fit.slope),
-        stderr=float(fit.stderr),
-        ci=(float(fit.slope) - 1.96 * float(fit.stderr), float(fit.slope) + 1.96 * float(fit.stderr)),
+        slope=slope,
+        stderr=stderr,
+        ci=(slope - 1.96 * stderr, slope + 1.96 * stderr),
         method="local_mass",
         n_points=len(cloud),
         monotone=all(m2 <= m1 for m1, m2 in zip(masses, masses[1:])),
@@ -829,7 +845,8 @@ def verify_main_inequality(
         except Exception as exc:  # noqa: BLE001 - per-point failures are flagged
             flags.append(f"base point {i}: {type(exc).__name__}: {exc}")
     if not slopes:
-        raise EmptyCloud("no base point produced a dimension estimate; see flags")
+        shown = " | ".join(flags[:3]) + (" | ..." if len(flags) > 3 else "")
+        raise EmptyCloud(f"no base point produced a dimension estimate ({len(flags)} flags: {shown})")
 
     dim_est = float(np.median(slopes))
     ratio = float(h_value / chi)

@@ -60,6 +60,7 @@ from .systems import (
     WeightedL2Metric,
     default_weights,
     operator_norm_power,
+    resolution_floor,
 )
 
 __all__ = ["ExperimentConfig", "Report", "TaskSpec", "run_experiment", "emit_report", "TASKS"]
@@ -575,7 +576,13 @@ def _run_dimension(cfg: ExperimentConfig):
     sys = build_system(cfg.system, cfg.window, 128)
     oracle = build_oracle(cfg.oracle)
     delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
-    scales = opts["scales"] if opts["scales"] is not None else default_scales(sys, delta)
+    scales = opts["scales"]
+    if scales is None:
+        scales = default_scales(sys, delta)
+        floor = resolution_floor(sys)
+        if sum(s > floor for s in scales) < 4:
+            raise ConfigInvalid(f"field 'scales': fewer than 4 default scales lie above this system's "
+                                f"resolution floor {floor:.6g}; give 'scales' explicitly")
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     cloud = sample_unstable_set(
         sys, oracle, x, delta,

@@ -111,6 +111,10 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "smb-check", "seed": 0, "n_schedule": [2, 4], "paths": 4, "shift_k": 3},
             "field 'shift_k': must be below every n_schedule entry",
         ),
+        (
+            {"task": "dimension", "seed": 1, "system": {"kind": "full_shift", "metric": "weighted"}},
+            "field 'scales': fewer than 4 default scales lie above",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):
@@ -209,6 +213,18 @@ def test_module_entry_point(tmp_path, config_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert "clean; wrote" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    """Start-up stays numpy-only: scipy is a test-time dependency."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ergodim, ergodim.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _write_console_script(bin_dir, name):

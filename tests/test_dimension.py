@@ -14,6 +14,7 @@ import pytest
 from ergodim.dimension import (
     PointCloud,
     _cloud_box_counts,
+    _fit_line,
     _lattice_ladder,
     _symbolic_box_radius,
     _torus_candidates,
@@ -487,6 +488,48 @@ def test_empty_cloud_rejected(cat):
     )
     with pytest.raises(EmptyCloud):
         box_counting_dimension(cloud, [0.01, 0.005, 0.0025, 0.00125], sys=cat)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _log_grid(n, base=0.05):
+    return np.log(1.0 / (base * 2.0 ** -np.arange(2, 2 + n)))
+
+
+def test_fit_line_matches_linregress_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(0)
+    cases = []
+    for n in range(4, 17):
+        x = _log_grid(n)
+        for _ in range(40):
+            slope = rng.uniform(-3.0, 3.0)  # negative slopes: local-mass fits
+            cases.append((x, slope * x + rng.normal(0.0, rng.choice([1e-3, 0.1, 1.0]), n)))
+        cases.append((x, np.log(rng.integers(1, 10_000, n).astype(float))))  # log counts
+        cases.append((x, np.full(n, math.log(7.0))))  # constant y
+        cases.append((x, 3.0 * x))  # collinear y
+        cases.append((x, -2.5 * x + 1.0))
+    for x, y in cases:
+        ref = stats.linregress(x, y)
+        slope, stderr = _fit_line(x, y)
+        assert _same_bits(slope, ref.slope) and _same_bits(stderr, ref.stderr), (x, y)
+
+
+def test_fit_line_degenerate_cases():
+    x = _log_grid(8)
+    slope, stderr = _fit_line(x, np.full(8, 2.0))
+    assert slope == 0.0 and math.isnan(stderr)
+    # exactly collinear: the raw correlation lands an ulp outside [-1, 1] and is clipped
+    for n, a in ((4, 3.0), (14, -2.5)):
+        x = _log_grid(n)
+        ssxm, ssxym, _, ssym = np.cov(x, a * x, bias=1).flat
+        assert abs(ssxym / np.sqrt(ssxm * ssym)) > 1.0
+        slope, stderr = _fit_line(x, a * x)
+        assert stderr == 0.0 and abs(slope - a) < 1e-12
+    with pytest.raises(ValueError, match="all x values are identical"):
+        _fit_line(np.full(5, 0.3), np.arange(5.0))
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,25 @@ def test_dimension_task_slope():
     assert rep.payload["collinearity_residual"] < 1e-9
 
 
+def test_dimension_default_scales_below_the_floor_are_a_config_error():
+    # the weighted shift's floor (~0.177) leaves one of the default scales 2^-2..2^-9
+    with pytest.raises(ConfigInvalid, match=r"field 'scales': fewer than 4 default scales .* floor 0\.17"):
+        run({"task": "dimension", "seed": 1, "system": {"kind": "full_shift", "metric": "weighted"}})
+    # explicit scales above the floor still run
+    rep = run({"task": "dimension", "seed": 1, "cloud_budget": 4000, "scales": [0.9, 0.7, 0.5, 0.3],
+               "system": {"kind": "full_shift", "metric": "weighted"}})
+    assert len(rep.payload["scales"]) == 4
+
+
+def test_verify_total_failure_shows_the_flags():
+    with pytest.raises(TaskFailed) as info:
+        run({"task": "verify", "seed": 0, "delta": 1e-7, "base_points": 4, "chi_points": 32,
+             "chi_probes": 32})
+    msg = str(info.value)
+    assert "(4 flags: base point 0: EmptyCloud: no nontrivial candidate survived admission" in msg
+    assert " | base point 2: " in msg and msg.endswith(" | ...)")
+
+
 def test_verify_task_payload():
     rep = run(TINY_CONFIGS["verify"])
     assert set(rep.payload) >= {"h", "chi", "ratio", "dim", "slack", "holds", "regime", "disclaimer"}
@@ -592,10 +611,23 @@ def test_readme_options_table_names_the_registry_options():
         assert re.findall(r"`(\w+)`", options) == list(TASKS[task].options), task
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_print_report_shows_the_headline(tmp_path, capsys, monkeypatch):
+    print_report = _load_script("print_report")
+    (path,) = emit_report(run(TINY_CONFIGS["entropy"]), tmp_path, ("json",))
+    monkeypatch.setattr("sys.argv", ["print_report.py", str(path)])
+    assert print_report.main() == 0
+    assert "headline: rate = 0.693147 vs closed form 0.693147 (n = 8)\n" in capsys.readouterr().out
+
+
 def test_run_all_prints_each_headline(tmp_path, capsys):
-    loader = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
-    run_all = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(run_all)
+    run_all = _load_script("run_all")
     configs = tmp_path / "configs"
     configs.mkdir()
     for task in ("hamming-bounds", "entropy"):
