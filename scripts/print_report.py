@@ -10,6 +10,7 @@ scrolling raw JSON.
 """
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -55,4 +56,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # the reader left early (`| head`): point stdout at devnull so the
+        # interpreter's flush at exit does not raise again; exit 1 as on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

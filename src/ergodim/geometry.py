@@ -17,6 +17,7 @@ cancellation that direct point iteration suffers below ~1e-14.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ from .systems import (
     open_flip_depth,
     resolution_floor,
 )
-from .measures import rng_for
+from .measures import child_rngs, rng_for
 
 __all__ = [
     "bowen_ball_contains",
@@ -153,16 +154,11 @@ def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, prob
     return base, ks
 
 
-def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs):
-    """Flip-route ratios for a block of points that share one window (dyadic or weighted).
+def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
+    """What every flip-route block on the window lo..hi shares: (k_lo, k_hi, weight matrix).
 
-    Point i draws its probes from ``rngs[i]``, exactly as a lone point would;
-    rows i * probes .. (i + 1) * probes - 1 of the result are its probes.
-    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
+    The weight matrix is None on the dyadic metric.
     """
-    x0 = xs[0]
-    lo, hi, width, a = x0.lo, x0.hi, x0.symbols.size, sys.alphabet_size
-    n_max = max(ns)
     k_lo = open_flip_depth(sys, r)
     # flips surviving Bowen membership through time n sit at depth >= n + k_lo,
     # so the draw range must extend past n_max + k_lo (within the stored window)
@@ -171,6 +167,23 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs):
         raise ScaleUnderflow(
             f"no admissible flip depth: need k in [{k_lo}, {k_hi}] inside the window"
         )
+    if isinstance(sys.metric, DyadicMetric):
+        return k_lo, k_hi, None
+    return k_lo, k_hi, _shift_weight_matrix(sys, np.arange(lo, hi + 1), n_max)
+
+
+def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
+    """Flip-route ratios for a block of points that share one window (dyadic or weighted).
+
+    Point i draws its probes from the i-th generator of ``rngs``, exactly as a
+    lone point would; rows i * probes .. (i + 1) * probes - 1 of the result
+    are its probes.  ``plan`` is ``_shift_window_plan`` of the block's window.
+    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
+    """
+    x0 = xs[0]
+    lo, hi, width, a = x0.lo, x0.hi, x0.symbols.size, sys.alphabet_size
+    n_max = max(ns)
+    k_lo, k_hi, M = plan
     ks, sides, rand, offset = (
         np.concatenate(parts)
         for parts in zip(*[_draw_flip_probes(rng, k_lo, k_hi, a, width, probes) for rng in rngs])
@@ -187,12 +200,11 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs):
     at_flip = centers[rows // probes, flip_pos]
     diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
 
-    if isinstance(sys.metric, DyadicMetric):
+    if M is None:
         d = 2.0 ** (-_nearest_mismatch(diff, lo, n_max))
     else:
         # d(T^j x, T^j y)^2 = sum_i a_|i - j| * diff_i, one matmul covers all j;
         # one matmul per point keeps each product the shape it always had
-        M = _shift_weight_matrix(sys, coords, n_max)
         d = np.empty((len(ks), n_max + 1))
         for s in range(0, len(ks), probes):
             np.sqrt(diff[s : s + probes].astype(float) @ M, out=d[s : s + probes])
@@ -251,7 +263,8 @@ def _probe_ratios(sys, x, r, ns, probes, rng):
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
     if isinstance(sys, FullShift):
-        return _shift_block_ratios(sys, [x], r, ns, probes, [rng])
+        plan = _shift_window_plan(sys, r, x.lo, x.hi, max(ns))
+        return _shift_block_ratios(sys, [x], r, ns, probes, [rng], plan)
     raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
 
 
@@ -317,10 +330,12 @@ def lipschitz_table(
     results are independent of evaluation order and of threading.  A caller
     that passes a contiguous slice of a larger point list gives the slice's
     first index as ``first_index``, so every point keeps its own generator.
+    The generators are seeded in one batch (``child_rngs``) per call.
     """
     ns = [int(n) for n in n_schedule]
     values = np.full((len(points), len(ns)), np.nan)
     accepted_counts = np.zeros((len(points), len(ns)), dtype=int)
+    rngs = child_rngs(seed, r_tag, start=first_index, stop=first_index + len(points))
 
     def record(rows, acc, rat):
         # acc, rat: (points in rows, probes, len(ns))
@@ -333,9 +348,7 @@ def lipschitz_table(
         per_block = max(1, _TORUS_BLOCK_ROWS // probes)
         for start in range(0, len(points), per_block):
             stop = min(start + per_block, len(points))
-            u = np.concatenate(
-                [rng_for(seed, r_tag, first_index + i).random((probes, 2)) for i in range(start, stop)]
-            )
+            u = np.concatenate([next(rngs).random((probes, 2)) for _ in range(start, stop)])
             acc, rat = _torus_ratios_from_draws(sys, r, ns, u)
             shape = (stop - start, probes, len(ns))
             record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
@@ -343,6 +356,7 @@ def lipschitz_table(
     if not isinstance(sys, FullShift):
         raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
     # shift probes: blocks of points sharing one window, bounded by probe cells
+    plans = {}  # (lo, width) -> _shift_window_plan, for this call only
     start = 0
     while start < len(points):
         lo, width = points[start].lo, points[start].symbols.size
@@ -350,8 +364,10 @@ def lipschitz_table(
         stop = start + 1
         while stop < cap and (points[stop].lo, points[stop].symbols.size) == (lo, width):
             stop += 1
-        rngs = [rng_for(seed, r_tag, first_index + i) for i in range(start, stop)]
-        acc, rat = _shift_block_ratios(sys, points[start:stop], r, ns, probes, rngs)
+        if (lo, width) not in plans:
+            plans[lo, width] = _shift_window_plan(sys, r, lo, lo + width - 1, max(ns))
+        block = itertools.islice(rngs, stop - start)
+        acc, rat = _shift_block_ratios(sys, points[start:stop], r, ns, probes, block, plans[lo, width])
         shape = (stop - start, probes, len(ns))
         record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
         start = stop

@@ -40,6 +40,7 @@ __all__ = [
     "entropy_rate",
     "marginal_entropy",
     "rng_for",
+    "child_rngs",
     "sample_point",
     "sample_points",
     "cylinder_measure",
@@ -59,6 +60,118 @@ def rng_for(master_seed: int, *tags: int) -> np.random.Generator:
     if any(e < 0 for e in entropy):
         raise ValueError("seeds and tags must be nonnegative integers")
     return np.random.default_rng(entropy)
+
+
+# indices hashed per vector pass of ``child_rngs``: enough to amortize numpy's
+# per-call cost, few enough that its arrays and the Python ints it hands on
+# per chunk stay small, so peak memory does not grow with the point count
+_CHILD_CHUNK = 128
+
+# numpy's SeedSequence constants (pool of 4 uint32 words) and PCG64's multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list:
+    """SeedSequence's little-endian 32-bit words of a nonnegative int (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int):
+    """(xor, mult) columns of SeedSequence's hash for ``calls`` calls in a row.
+
+    Call k XORs with c_k and multiplies by c_{k+1}, where c_0 = init and
+    c_{k+1} = c_k * mult mod 2**32.
+    """
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    col = np.array(c, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+def _hashmix(values, xor, mult):
+    values = (values ^ xor) * mult
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy[:, j]).generate_state(4, uint64)`` for every column j.
+
+    ``entropy`` is (words, n) uint32; returns (4, n) uint64.  Each hash step
+    runs in wrapping uint32 arithmetic on whole rows: the steps of one
+    SeedSequence that read the same pool word are done as one (rows, n) op.
+    """
+    extra = max(len(entropy) - 4, 0)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * extra)
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: min(len(entropy), 4)] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    call = 4
+    for src in range(4):
+        # mixing pool[src] into the other three leaves pool[src] itself unchanged
+        dst = [d for d in range(4) if d != src]
+        mixed = _hashmix(pool[src], xor[call : call + 3], mult[call : call + 3])
+        pool[dst] = _mix(pool[dst], mixed)
+        call += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[call : call + 4], mult[call : call + 4]))
+        call += 4
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mult).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)  # little-endian word pairs
+
+
+def child_rngs(master_seed: int, *tags: int, start: int, stop: int):
+    """Iterator over the generators ``rng_for(master_seed, *tags, i)`` for i in [start, stop).
+
+    The SeedSequence hash runs as uint32 array arithmetic over chunks of
+    indices and PCG64's seeding step in Python ints; every step re-seeds one
+    ``Generator`` that the iterator owns, so a yielded generator is valid only
+    until the next one is drawn.  Its stream is bit for bit that of
+    ``np.random.default_rng([master_seed, *tags, i])``.  Indices stay below
+    2**32, so the index is always the last single entropy word.
+    """
+    prefix = [int(master_seed)] + [int(t) for t in tags]
+    if any(e < 0 for e in prefix) or start < 0:
+        raise ValueError("seeds, tags and indices must be nonnegative integers")
+    if stop > _MASK32 + 1:
+        raise ValueError("child indices must be below 2**32")
+    return _reseeded([w for e in prefix for w in _uint32_words(e)], start, stop)
+
+
+def _reseeded(words: list, start: int, stop: int):
+    """``child_rngs`` past its checks: ``words`` are the prefix's uint32 entropy words."""
+    bit_gen = np.random.PCG64(0)  # any seed: every yield overwrites the state
+    rng = np.random.Generator(bit_gen)
+    pcg = {"state": 0, "inc": 1}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    entropy = np.empty((len(words) + 1, _CHILD_CHUNK), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    for lo in range(start, stop, _CHILD_CHUNK):
+        n = min(_CHILD_CHUNK, stop - lo)
+        entropy[-1, :n] = np.arange(lo, lo + n, dtype=np.uint32)
+        for v0, v1, v2, v3 in zip(*_pcg64_seed_words(entropy[:, :n]).tolist()):
+            # PCG64 takes words 0:1 as the initial state and 2:3 as the sequence
+            # (high word first); srandom sets inc = 2 seq + 1 and
+            # state = (inc + initial) * MULT + inc, all mod 2**128
+            pcg["inc"] = inc = (v2 << 64 | v3) << 1 & _MASK128 | 1
+            pcg["state"] = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
+            bit_gen.state = state  # also clears the buffered uint32
+            yield rng
 
 
 class MeasureOracle:
@@ -280,9 +393,16 @@ def _sample_conditional_window(sys: FullShift, oracle: ConditionalShiftOracle, r
     return out
 
 
-def sample_point(sys: SystemDescriptor, oracle: MeasureOracle, master_seed: int, point_index: int = 0):
-    """A typical point of the system, seeded per (master_seed, point_index)."""
-    rng = rng_for(master_seed, point_index)
+def sample_point(
+    sys: SystemDescriptor, oracle: MeasureOracle, master_seed: int, point_index: int = 0, rng=None
+):
+    """A typical point of the system, seeded per (master_seed, point_index).
+
+    A caller that already holds that point's generator (``child_rngs``) passes
+    it as ``rng``.
+    """
+    if rng is None:
+        rng = rng_for(master_seed, point_index)
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         if not isinstance(oracle, LebesgueTorus):
             raise IncompatibleOracle(f"{type(oracle).__name__} cannot sample the torus")
@@ -294,7 +414,10 @@ def sample_point(sys: SystemDescriptor, oracle: MeasureOracle, master_seed: int,
 
 
 def sample_points(sys, oracle, master_seed: int, count: int, start_index: int = 0) -> list:
-    return [sample_point(sys, oracle, master_seed, start_index + i) for i in range(count)]
+    rngs = child_rngs(master_seed, start=start_index, stop=start_index + count)
+    return [
+        sample_point(sys, oracle, master_seed, start_index + i, rng=rng) for i, rng in enumerate(rngs)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -466,8 +466,19 @@ def open_flip_depth(sys: FullShift, r: float) -> int:
     """
     if isinstance(sys.metric, DyadicMetric):
         return dyadic_open_depth(r)
+    weights = sys.metric.weights
+    a = []  # a_0 .. a_{k-1}, each read once
     k = 1
-    while weighted_tail_bound(sys.metric.weights, k - 1) >= r and k < sys.window:
+    while k < sys.window:
+        a.append(weights.a(k - 1))
+        # weighted_tail_bound(weights, k - 1); with a known total, tail_sum's
+        # prefix is fsum(a), and fsum is correctly rounded, so the bound is the same
+        if weights.total is None:
+            bound = weighted_tail_bound(weights, k - 1)  # adaptive sums share no prefix
+        else:
+            bound = math.sqrt(2.0 * max(weights.total - math.fsum(a), 0.0))
+        if bound < r:
+            break
         k += 1
     return k
 

@@ -45,6 +45,7 @@ from ergodim.systems import (
     ToralAutomorphism,
     TorusPoint,
     WeightedL2Metric,
+    WeightSequence,
     distance,
     dyadic_depth,
     dyadic_open_depth,
@@ -728,6 +729,32 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
             assert dyadic_depth(r) == _old_dyadic_depth(r), r
             if r <= 1.0:
                 assert dyadic_agreement_radius(r) == _old_agreement_radius(r), r
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [
+        FullShift(metric=WeightedL2Metric()),
+        FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=16),
+        # no closed-form total: the adaptive tail sums stay in use
+        FullShift(
+            metric=WeightedL2Metric(WeightSequence(a=lambda k: 0.5**k, b=lambda m: 1.0, C=1.0, total=None)),
+            window=24,
+        ),
+    ],
+    ids=["default", "ternary-w16", "no-total"],
+)
+def test_weighted_flip_depth_matches_the_per_k_loop(sys):
+    """One read of the weights gives the depths the per-k ``weighted_tail_bound`` loop gave.
+
+    The grid holds every tail bound the loop compares with and its float
+    neighbours, so a sum rounded differently from ``fsum`` moves a depth.
+    """
+    bounds = [weighted_tail_bound(sys.metric.weights, k) for k in range(sys.window + 1)]
+    radii = [r for b in bounds for r in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))]
+    for r in radii + [1e-300, 10.0]:
+        if r > 0.0:
+            assert open_flip_depth(sys, r) == _old_flip_depth(sys, r), r
 
 
 @pytest.mark.parametrize("r", [-1.0, 0.0, -0.0, math.inf, math.nan])

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -638,3 +640,20 @@ def test_run_all_prints_each_headline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "    3 sizes checked, stirling holds for all = True, crude failures []\n" in out
     assert "    rate = 0.693147 vs closed form 0.693147 (n = 8)\n" in out
+
+
+def test_print_report_leaves_quietly_when_the_reader_closes(tmp_path):
+    """`print_report.py big.json | head` ends without a BrokenPipeError traceback."""
+    (path,) = emit_report(run(TINY_CONFIGS["entropy"]), tmp_path, ("json",))
+    doc = json.loads(path.read_text())
+    doc["parameters"]["rows"] = [{"i": i} for i in range(20_000)]  # printed in full, ~0.5 MB
+    path.write_text(json.dumps(doc))
+    script = ROOT / "scripts" / "print_report.py"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(100).startswith(b"task: entropy")
+    proc.stdout.close()  # more than a pipe buffer (64 kB) is still unwritten
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from ergodim import geometry, measures
 from ergodim.errors import EmptySchedule
 from ergodim.lyapunov import ChiEstimate, SubadditiveSeries, estimate_chi, fekete_limit
 from ergodim.systems import ToralAutomorphism
@@ -138,3 +139,17 @@ def test_decreasing_r_schedule_enforced(cat, lebesgue):
         estimate_chi(cat, lebesgue, r_schedule=[0.1, 0.2], n_schedule=[1, 2], points=4, probes=8)
     with pytest.raises(EmptySchedule):
         estimate_chi(cat, lebesgue, r_schedule=[], n_schedule=[1, 2], points=4, probes=8)
+
+
+@pytest.mark.parametrize("system, oracle", [("cat", "lebesgue"), ("dyadic_shift", "markov")])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chi_builds_no_generator_per_point(request, monkeypatch, system, oracle, threads):
+    """Sample points and probe blocks are seeded in batches (``child_rngs``), never one by one."""
+    def refuse(*args):
+        raise AssertionError(f"per-point generator build rng_for{args}")
+
+    monkeypatch.setattr(measures, "rng_for", refuse)
+    monkeypatch.setattr(geometry, "rng_for", refuse)
+    sys, mu = request.getfixturevalue(system), request.getfixturevalue(oracle)
+    est = estimate_chi(sys, mu, [0.2, 0.1], [2, 4], points=12, probes=16, seed=4, threads=threads)
+    assert math.isfinite(est.value)

@@ -13,10 +13,12 @@ from scipy import stats
 
 from ergodim.errors import IncompatibleOracle, UnsupportedOracle, ZeroMassAtom
 from ergodim.measures import (
+    _CHILD_CHUNK,
     BernoulliIID,
     ConditionalShiftOracle,
     LebesgueTorus,
     MarkovStationary,
+    child_rngs,
     cylinder_measure,
     entropy_rate,
     fixed_coords_log_measure,
@@ -205,6 +207,68 @@ def test_rng_streams_differ_across_tags():
     a = rng_for(9, 1).random(8)
     b = rng_for(9, 2).random(8)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# batched child generators against rng_for, their single-generator reference
+# ---------------------------------------------------------------------------
+
+# int8 draws leave half of a uint32 buffered in the generator, so a child
+# that did not clear it would start its own int8 draws from its predecessor's
+_CHILD_DRAWS = (
+    lambda g: g.integers(0, 3, size=3, dtype=np.int8),
+    lambda g: g.random(5),
+    lambda g: g.integers(0, 2**40, size=3, dtype=np.int64),
+    lambda g: g.choice(3, size=9, p=[0.2, 0.5, 0.3]),
+    lambda g: g.integers(0, 3, size=1, dtype=np.int8),
+)
+# windows that straddle chunk boundaries, and the last window below 2**32
+_CHILD_WINDOWS = (
+    (0, 3),
+    (_CHILD_CHUNK - 2, _CHILD_CHUNK + 3),
+    (2 * _CHILD_CHUNK - 1, 3 * _CHILD_CHUNK + 1),
+    (2**32 - 4, 2**32),
+)
+
+
+# 2**96 + 5 is four entropy words, so with the tags and the index the
+# SeedSequence hash runs its loop over words past the pool
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**96 + 5])
+@pytest.mark.parametrize("tags", [(), (7,), (7, 300)])
+def test_child_rngs_match_rng_for(seed, tags):
+    for start, stop in _CHILD_WINDOWS:
+        drawn = 0
+        for i, rng in zip(range(start, stop), child_rngs(seed, *tags, start=start, stop=stop)):
+            want = rng_for(seed, *tags, i)
+            for draw in _CHILD_DRAWS:
+                np.testing.assert_array_equal(draw(rng), draw(want))
+            drawn += 1
+        assert drawn == stop - start
+        assert next(child_rngs(seed, *tags, start=stop, stop=stop), None) is None
+
+
+def test_child_rngs_reject_what_they_cannot_seed():
+    with pytest.raises(ValueError, match="nonnegative"):
+        child_rngs(-1, start=0, stop=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        child_rngs(0, 3, -2, start=0, stop=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        child_rngs(0, start=-1, stop=1)
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        child_rngs(0, start=2**32 - 1, stop=2**32 + 1)
+
+
+@pytest.mark.parametrize("kind", ["torus", "markov"])
+def test_sample_points_match_per_point_draws(kind, cat, lebesgue, markov):
+    sys, oracle = (cat, lebesgue) if kind == "torus" else (FullShift(window=8), markov)
+    start = _CHILD_CHUNK - 3  # straddles a chunk boundary
+    got = sample_points(sys, oracle, 5, 7, start_index=start)
+    want = [sample_point(sys, oracle, 5, start + i) for i in range(7)]
+    for a, b in zip(got, want, strict=True):
+        if kind == "torus":
+            assert (a.x, a.y) == (b.x, b.y)
+        else:
+            assert a.lo == b.lo and a.symbols.tobytes() == b.symbols.tobytes()
 
 
 # ---------------------------------------------------------------------------
