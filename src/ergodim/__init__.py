@@ -26,15 +26,12 @@ from .entropy import (
     block_entropy_rate,
     brin_katok_local,
     conditional_entropy,
-    information_function,
 )
 from .errors import *  # noqa: F403 - errors defines a curated __all__
 from .geometry import (
     InclusionReport,
-    LipschitzEstimate,
     bowen_ball_contains,
     check_ball_inclusion,
-    estimate_pointwise_lipschitz,
     lipschitz_table,
 )
 from .harness import ExperimentConfig, Report, emit_report, run_experiment
@@ -44,7 +41,6 @@ from .measures import (
     ConditionalShiftOracle,
     LebesgueTorus,
     MarkovStationary,
-    cylinder_measure,
     entropy_rate,
     fixed_coords_log_measure,
     fixed_coords_measure,
@@ -63,7 +59,6 @@ from .partitions import (
     delta_constant,
     disintegrate_past,
     hamming_ball_bound_check,
-    hamming_pseudometric,
     local_smb_check,
     orbit_join,
     past_join,

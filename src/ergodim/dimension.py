@@ -34,7 +34,6 @@ from .measures import (
     MarkovStationary,
     entropy_rate,
     fixed_coords_log_measure,
-    rng_for,
     sample_point,
 )
 from .systems import (
@@ -44,7 +43,6 @@ from .systems import (
     SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,
-    WeightedL2Metric,
     cylinder_depth,
     dyadic_depth,
     invert,
@@ -290,7 +288,7 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
     )
 
 
-def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget, tol, seed):
+def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
         m_delta = dyadic_depth(delta)
@@ -309,16 +307,14 @@ def _shift_unstable_cloud(sys: FullShift, oracle, x, delta, back_horizon, budget
     if back_horizon > (-x.lo if side == 1 else x.hi):
         raise WindowExhausted("back horizon exceeds the stored window of the base point")
 
+    if a > budget:
+        raise TooFewPoints(f"cloud budget {budget} is below the alphabet size {a}: "
+                           f"not even one varied coordinate can be enumerated")
     depth = 1
     while a ** (depth + 1) <= budget and depth + 1 <= room:
         depth += 1
-    n_words = a**depth
-    if n_words <= budget:
-        powers = a ** np.arange(depth - 1, -1, -1)
-        words = ((np.arange(n_words)[:, None] // powers) % a).astype(np.int8)
-    else:  # pragma: no cover - enumeration always fits by construction of depth
-        rng = rng_for(seed, 31)
-        words = rng.integers(0, a, size=(budget, depth), dtype=np.int8)
+    powers = a ** np.arange(depth - 1, -1, -1)
+    words = ((np.arange(a**depth)[:, None] // powers) % a).astype(np.int8)
     if side == 1:
         var_coords = np.arange(m_delta, m_delta + depth)
     else:
@@ -381,12 +377,10 @@ def default_scales(sys, delta: float) -> list:
 
 def sample_unstable_set(
     sys,
-    oracle,
     x,
     delta: float,
     back_horizon: int = 40,
     budget: int = 10_000,
-    seed: int = 0,
     admission_tolerance: float | None = None,
 ) -> PointCloud:
     """Sample the delta-local unstable set of x with exact admission testing.
@@ -403,7 +397,7 @@ def sample_unstable_set(
     if isinstance(sys, ToralAutomorphism):
         return _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol)
     if isinstance(sys, FullShift):
-        return _shift_unstable_cloud(sys, oracle, x, delta, back_horizon, budget, tol, seed)
+        return _shift_unstable_cloud(sys, x, delta, back_horizon, budget, tol)
     raise UnsupportedOracle(f"no unstable sampling for {type(sys).__name__}")
 
 
@@ -818,8 +812,7 @@ def verify_main_inequality(
                 cloud = template.translated(x)
             else:
                 cloud = sample_unstable_set(
-                    work_sys, work_oracle, x, delta,
-                    back_horizon=back_horizon, budget=cloud_budget, seed=seed + i,
+                    work_sys, x, delta, back_horizon=back_horizon, budget=cloud_budget
                 )
                 if cloud.kind == "torus":
                     template = cloud

@@ -1,4 +1,4 @@
-"""Information functions, partition entropies, and local entropy of Bowen balls.
+"""Partition entropies and local entropy of Bowen balls.
 
 Exact routes enumerate cylinder atoms or use closed-form log measures; Monte
 Carlo routes carry standard errors.  Local entropy follows the two-sided
@@ -34,16 +34,13 @@ from .systems import (
     FIXED_DENOM,
     DyadicMetric,
     FullShift,
-    SymbolicPoint,
     ToralAutomorphism,
     TorusPoint,
-    _int_matrix_power,
     dyadic_open_depth,
 )
 
 __all__ = [
     "EntropyEstimate",
-    "information_function",
     "conditional_entropy",
     "block_entropy_rate",
     "BrinKatokReport",
@@ -73,37 +70,6 @@ class EntropyEstimate:
 def _dist_entropy(p: np.ndarray) -> float:
     mask = p > 0.0
     return max(float(-(p[mask] * np.log(p[mask])).sum()), 0.0)
-
-
-def information_function(
-    alpha: CylinderPartition,
-    cond: CylinderPartition | None,
-    oracle: MeasureOracle,
-    x: SymbolicPoint,
-) -> float:
-    """-log of the conditional mass of the alpha-atom of x given its cond-atom.
-
-    ``cond=None`` means the trivial partition, giving the unconditional
-    information -log mu(alpha(x)).  Raises ``ZeroMassAtom`` when the
-    conditioning atom has measure zero; returns +inf when the joint atom has
-    measure zero inside a positive-mass condition.
-    """
-    a_coords = list(alpha.coords)
-    a_syms = x.coords(a_coords)
-    if cond is None:
-        val = fixed_coords_log_measure(oracle, a_coords, a_syms)
-        return math.inf if val == -math.inf else -val
-    c_coords = list(cond.coords)
-    c_syms = x.coords(c_coords)
-    log_c = fixed_coords_log_measure(oracle, c_coords, c_syms)
-    if log_c == -math.inf:
-        raise ZeroMassAtom("conditioning atom has measure zero")
-    joint = refine(alpha, cond)
-    j_coords = list(joint.coords)
-    log_j = fixed_coords_log_measure(oracle, j_coords, x.coords(j_coords))
-    if log_j == -math.inf:
-        return math.inf
-    return max(-(log_j - log_c), 0.0)
 
 
 def conditional_entropy(

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoProbeAccepted, ScaleUnderflow
+from .errors import ScaleUnderflow
 from .systems import (
     DyadicMetric,
     FullShift,
@@ -40,8 +40,6 @@ from .measures import child_rngs, rng_for
 
 __all__ = [
     "bowen_ball_contains",
-    "LipschitzEstimate",
-    "estimate_pointwise_lipschitz",
     "lipschitz_table",
     "InclusionRecord",
     "InclusionReport",
@@ -59,20 +57,6 @@ def bowen_ball_contains(sys: SystemDescriptor, x, y, n: int, r: float) -> bool:
         if distance(sys, iterate(sys, x, k), iterate(sys, y, k)) >= r:
             return False
     return True
-
-
-@dataclass
-class LipschitzEstimate:
-    """Result of probing L_n^r(x); ``curve`` tracks the running max vs probes used."""
-
-    x: object
-    n: int
-    r: float
-    value: float
-    probe_count: int  # accepted probes that entered the max
-    attempts: int
-    probe_radius_floor: float
-    curve: list = field(default_factory=list)  # (attempts so far, running max)
 
 
 # ---------------------------------------------------------------------------
@@ -257,60 +241,6 @@ def _nearest_mismatch(diff: np.ndarray, lo: int, n_max: int) -> np.ndarray:
         np.concatenate([first_right[:, None], np.where(mid, j, np.inf)[:, ::-1]], axis=1), axis=1
     )[:, :0:-1]
     return np.minimum(j - left, right - j)
-
-
-def _probe_ratios(sys, x, r, ns, probes, rng):
-    if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
-        return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
-    if isinstance(sys, FullShift):
-        plan = _shift_window_plan(sys, r, x.lo, x.hi, max(ns))
-        return _shift_block_ratios(sys, [x], r, ns, probes, [rng], plan)
-    raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
-
-
-def estimate_pointwise_lipschitz(
-    sys: SystemDescriptor, x, n: int, r: float, probes: int = 1024, seed: int = 0
-) -> LipschitzEstimate:
-    """Probe-based estimate of L_n^r(x).
-
-    ``probes`` is the attempt budget; candidates falling outside the Bowen
-    ball are rejected and only survivors enter the max, so the estimate is a
-    lower bound of the sup and is nondecreasing in ``probes`` for a fixed
-    seed.  Probes use per-index derived seeds, so prefixes are stable.
-
-    Raises ``NoProbeAccepted`` when no candidate lands in B_n(x, r).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    floor = resolution_floor(sys)
-    if not (r > floor):
-        raise ScaleUnderflow(f"r = {r} is not above the resolution floor {floor}")
-    accepted_total = 0
-    best = 0.0
-    curve = []
-    checkpoint = max(1, probes // 16)
-    # per-probe derived seeds keep prefixes stable under a larger budget
-    for i in range(probes):
-        rng = rng_for(seed, i)
-        acc, rat = _probe_ratios(sys, x, r, [n], 1, rng)
-        if acc[0, 0]:
-            accepted_total += 1
-            if rat[0, 0] > best:
-                best = float(rat[0, 0])
-        if (i + 1) % checkpoint == 0 or i + 1 == probes:
-            curve.append((i + 1, best))
-    if accepted_total == 0:
-        raise NoProbeAccepted(f"no probe accepted in B_{n}(x, {r}) after {probes} attempts")
-    return LipschitzEstimate(
-        x=x,
-        n=n,
-        r=r,
-        value=best,
-        probe_count=accepted_total,
-        attempts=probes,
-        probe_radius_floor=floor,
-        curve=curve,
-    )
 
 
 def lipschitz_table(

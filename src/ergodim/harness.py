@@ -28,7 +28,6 @@ from .dimension import (
     box_counting_dimension,
     default_delta,
     default_scales,
-    local_dimension_lower,
     sample_unstable_set,
     unstable_cover_counts,
     verify_main_inequality,
@@ -585,10 +584,9 @@ def _run_dimension(cfg: ExperimentConfig):
                                 f"resolution floor {floor:.6g}; give 'scales' explicitly")
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     cloud = sample_unstable_set(
-        sys, oracle, x, delta,
+        sys, x, delta,
         back_horizon=opts["back_horizon"],
         budget=opts["cloud_budget"],
-        seed=cfg.seed,
         admission_tolerance=opts["admission_tolerance"],
     )
     est = box_counting_dimension(cloud, scales, sys=sys)
@@ -755,7 +753,7 @@ _VERIFY_OPTIONS = {
     "direction": _one_of("forward", "backward"), "delta": _nullable(_POSITIVE_REAL),
     "base_points": _int(1), "scales": _nullable(_RADII), "r_schedule": _nullable(_RADII),
     "n_schedule": _LENGTHS, "chi_points": _int(1), "chi_probes": _int(1),
-    "chi_floor": _number("[0, inf)"), "back_horizon": _int(0), "cloud_budget": _int(1),
+    "chi_floor": _number("[0, inf)"), "back_horizon": _int(0), "cloud_budget": _int(100),
     "past_depth": _int(1),
 }
 
@@ -803,7 +801,7 @@ TASKS = {
     "dimension": TaskSpec(
         run=_run_dimension, system=_CAT,
         options={"delta": (None, _nullable(_POSITIVE_REAL)), "scales": (None, _nullable(_RADII)),
-                 "back_horizon": (40, _int(0)), "cloud_budget": (10_000, _int(1)),
+                 "back_horizon": (40, _int(0)), "cloud_budget": (10_000, _int(100)),
                  "point_index": (0, _int(0)), "admission_tolerance": (None, _nullable(_POSITIVE_REAL))},
         table=lambda p: (["scale", "count", "log_scale", "log_count"],
                          [[s, c, math.log(s), math.log(c)] for s, c in zip(p["scales"], p["counts"])]),

@@ -10,7 +10,7 @@ parallel draws produce byte-identical streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "child_rngs",
     "sample_point",
     "sample_points",
-    "cylinder_measure",
     "fixed_coords_measure",
     "word_distribution",
     "sample_symbol_block",
@@ -423,17 +422,6 @@ def sample_points(sys, oracle, master_seed: int, count: int, start_index: int = 
 # ---------------------------------------------------------------------------
 # exact cylinder measures
 # ---------------------------------------------------------------------------
-
-
-def cylinder_measure(oracle: MeasureOracle, word, start: int = 0) -> float:
-    """Measure of the cylinder fixing ``word`` at consecutive coordinates from ``start``.
-
-    Stationary oracles give the same answer for every ``start``.
-    """
-    w = list(int(s) for s in word)
-    if not w:
-        return 1.0
-    return fixed_coords_measure(oracle, list(range(start, start + len(w))), w)
 
 
 def _constraints(indices, symbols):

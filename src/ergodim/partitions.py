@@ -61,7 +61,6 @@ __all__ = [
     "local_smb_check",
     "ShiftLemmaReport",
     "shift_lemma_check",
-    "hamming_pseudometric",
     "DeltaConstant",
     "delta_constant",
     "HammingBoundReport",
@@ -596,17 +595,8 @@ def _stationary_block_log_mass(oracle, syms: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Hamming pseudo-metric and counting bounds
+# Hamming-ball counting bounds
 # ---------------------------------------------------------------------------
-
-
-def hamming_pseudometric(word_a, word_b) -> float:
-    """Fraction of positions at which two equal-length words disagree."""
-    a = np.asarray(word_a)
-    b = np.asarray(word_b)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise LengthMismatch(f"words must be nonempty and equal length, got {a.shape} vs {b.shape}")
-    return float(np.mean(a != b))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, MixedSystems, NonInvertible, WindowExhausted
+from .errors import MixedSystems, NonInvertible, WindowExhausted
 
 __all__ = [
     "FIXED_DENOM",
@@ -42,7 +42,6 @@ __all__ = [
     "torus_displacement_norm",
     "invert",
     "resolution_floor",
-    "weighted_norm",
     "weighted_tail_bound",
     "open_flip_depth",
     "dyadic_open_depth",
@@ -233,8 +232,8 @@ class FullShift(SystemDescriptor):
     inverted: bool = False
 
     def __post_init__(self):
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
+        if not 2 <= self.alphabet_size <= 127:
+            raise ValueError("alphabet_size must be >= 2 and <= 127 (symbols are stored as int8)")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
@@ -437,16 +436,8 @@ def resolution_floor(sys: SystemDescriptor) -> float:
 
 
 # ---------------------------------------------------------------------------
-# weighted-norm helpers (the Hilbert-space model of the divergence regime)
+# weighted-metric tail bound (the Hilbert-space model of the divergence regime)
 # ---------------------------------------------------------------------------
-
-
-def weighted_norm(weights: WeightSequence, coeffs: dict[int, float]) -> float:
-    """(sum_n a_|n| |c_n|^2)^(1/2) for a finitely supported coefficient map."""
-    total = 0.0
-    for n, c in coeffs.items():
-        total += weights.a(abs(int(n))) * float(c) * float(c)
-    return math.sqrt(total)
 
 
 def weighted_tail_bound(weights: WeightSequence, radius: int) -> float:

@@ -115,6 +115,24 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "dimension", "seed": 1, "system": {"kind": "full_shift", "metric": "weighted"}},
             "field 'scales': fewer than 4 default scales lie above",
         ),
+        (
+            {"task": "dimension", "seed": 0, "cloud_budget": 1},
+            "field 'cloud_budget': expected an integer >= 100, got 1",
+        ),
+        (
+            {"task": "verify", "seed": 0, "cloud_budget": 1},
+            "field 'cloud_budget': expected an integer >= 100, got 1",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 128},
+             "oracle": {"kind": "bernoulli", "probs": [1 / 128] * 128}},
+            "field 'system': alphabet_size must be >= 2 and <= 127",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 200},
+             "oracle": {"kind": "bernoulli", "probs": [1 / 200] * 200}},
+            "field 'system': alphabet_size must be >= 2 and <= 127",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

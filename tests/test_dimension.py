@@ -66,7 +66,7 @@ from tests.conftest import LOG2, LOG_LAM
 @pytest.fixture(scope="module")
 def cat_cloud(cat, lebesgue):
     x = sample_point(cat, lebesgue, 0, 1000)
-    return x, sample_unstable_set(cat, lebesgue, x, 0.05, back_horizon=40, budget=10_000)
+    return x, sample_unstable_set(cat, x, 0.05, back_horizon=40, budget=10_000)
 
 
 def test_torus_cloud_shape(cat_cloud):
@@ -112,12 +112,12 @@ def test_translated_cloud_equals_sampling_at_the_new_base(matrix, lebesgue):
     # ((1, -1), (-1, 2)) is the inverse of the cat map: the backward-direction system
     sys = ToralAutomorphism(matrix)
     x0 = sample_point(sys, lebesgue, 0, 1000)
-    template = sample_unstable_set(sys, lebesgue, x0, 0.05, back_horizon=40, budget=3000)
+    template = sample_unstable_set(sys, x0, 0.05, back_horizon=40, budget=3000)
     bases = [sample_point(sys, lebesgue, s, 1000 + i) for s, i in ((0, 1), (0, 7), (3, 2))]
     bases += [TorusPoint(0.0, 0.0), TorusPoint.from_ints(FIXED_DENOM - 1, FIXED_DENOM - 1)]
     for x in bases:
         moved = template.translated(x)
-        direct = sample_unstable_set(sys, lebesgue, x, 0.05, back_horizon=40, budget=3000)
+        direct = sample_unstable_set(sys, x, 0.05, back_horizon=40, budget=3000)
         assert moved.rows.dtype == direct.rows.dtype
         assert np.array_equal(moved.rows, direct.rows)
         assert moved.base is x
@@ -138,9 +138,9 @@ def _spy_on_sampling(monkeypatch):
     calls = []
     real = dimension.sample_unstable_set
 
-    def spy(sys, oracle, x, delta, **kwargs):
+    def spy(sys, x, delta, **kwargs):
         try:
-            cloud = real(sys, oracle, x, delta, **kwargs)
+            cloud = real(sys, x, delta, **kwargs)
         except Exception as exc:
             calls.append((x, f"{type(exc).__name__}: {exc}"))
             raise
@@ -164,7 +164,7 @@ def test_verify_samples_the_torus_cloud_once(monkeypatch, cat, lebesgue, directi
     expected = []
     for i in range(5):
         x = sample_point(work, lebesgue, 2, 1000 + i)
-        cloud = sample_unstable_set(work, lebesgue, x, 0.05, back_horizon=40, budget=3000)
+        cloud = sample_unstable_set(work, x, 0.05, back_horizon=40, budget=3000)
         expected.append(box_counting_dimension(cloud, scales, sys=work).slope)
     assert rep.per_point_slopes == expected
     assert rep.flags == []
@@ -184,25 +184,25 @@ def test_failing_torus_admission_flags_every_base_point(monkeypatch, cat, lebesg
     ]
     for x, outcome in calls:
         with pytest.raises(EmptyCloud) as direct:
-            sample_unstable_set(cat, lebesgue, x, 1e-7, back_horizon=40, budget=10_000)
+            sample_unstable_set(cat, x, 1e-7, back_horizon=40, budget=10_000)
         assert outcome == f"EmptyCloud: {direct.value}"
 
 
 def test_torus_cloud_empty_below_resolution(cat, lebesgue):
     x = sample_point(cat, lebesgue, 0, 1000)
     with pytest.raises(EmptyCloud):
-        sample_unstable_set(cat, lebesgue, x, 1e-8, back_horizon=40)
+        sample_unstable_set(cat, x, 1e-8, back_horizon=40)
 
 
 def test_delta_must_be_positive(cat, lebesgue):
     x = sample_point(cat, lebesgue, 0, 1000)
     with pytest.raises(ValueError):
-        sample_unstable_set(cat, lebesgue, x, 0.0)
+        sample_unstable_set(cat, x, 0.0)
 
 
-def test_no_unstable_sampling_for_isometries(translation, lebesgue):
+def test_no_unstable_sampling_for_isometries(translation):
     with pytest.raises(UnsupportedOracle):
-        sample_unstable_set(translation, lebesgue, TorusPoint(0.1, 0.2), 0.05)
+        sample_unstable_set(translation, TorusPoint(0.1, 0.2), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def shift_cloud():
     shift = FullShift(alphabet_size=2)
     oracle = BernoulliIID((0.5, 0.5))
     x = sample_point(shift, oracle, 0, 1000)
-    return shift, oracle, x, sample_unstable_set(shift, oracle, x, 0.5, back_horizon=40, budget=10_000)
+    return shift, oracle, x, sample_unstable_set(shift, x, 0.5, back_horizon=40, budget=10_000)
 
 
 def test_dyadic_cloud_admits_everything(shift_cloud):
@@ -240,14 +240,25 @@ def test_shift_admission_verified_definitionally(shift_cloud):
 def test_shift_cloud_window_guards(shift_cloud):
     shift, oracle, x, _ = shift_cloud
     with pytest.raises(WindowExhausted):
-        sample_unstable_set(shift, oracle, x, 0.5, back_horizon=300)
+        sample_unstable_set(shift, x, 0.5, back_horizon=300)
     with pytest.raises(EmptyCloud):
-        sample_unstable_set(shift, oracle, x, 2.0**-300, back_horizon=10)
+        sample_unstable_set(shift, x, 2.0**-300, back_horizon=10)
+
+
+def test_shift_cloud_budget_below_the_alphabet_is_too_few_points():
+    # 4 words cannot enumerate even one coordinate over 5 symbols
+    shift = FullShift(alphabet_size=5)
+    x = sample_point(shift, BernoulliIID((0.2,) * 5), 0, 1000)
+    with pytest.raises(TooFewPoints, match="cloud budget 4 is below the alphabet size 5"):
+        sample_unstable_set(shift, x, 0.5, back_horizon=40, budget=4)
+    cloud = sample_unstable_set(shift, x, 0.5, back_horizon=40, budget=5)
+    assert cloud.varied_window[1] == 1
+    assert cloud.admitted + cloud.rejected == 5
 
 
 def test_weighted_cloud_admission(weighted_shift, bern_half):
     x = sample_point(weighted_shift, bern_half, 0, 1000)
-    cloud = sample_unstable_set(weighted_shift, bern_half, x, 0.5, back_horizon=20, budget=512)
+    cloud = sample_unstable_set(weighted_shift, x, 0.5, back_horizon=20, budget=512)
     assert cloud.admitted >= 1
     assert cloud.varied_window[0] == cloud.diagnostics["m_delta"]
     for p in cloud.points[:: max(1, len(cloud.points) // 8)]:
@@ -316,7 +327,7 @@ def test_vector_ladder_matches_reference_failure():
     _, disp_ref = _reference_torus_candidates(*args)
     assert [tuple(int(v) for v in row) for row in _torus_candidates(*args)[3]] == disp_ref
     with pytest.raises(EmptyCloud) as err:
-        sample_unstable_set(sys, None, TorusPoint(0.25, 0.5), 0.05, back_horizon=40, budget=1000)
+        sample_unstable_set(sys, TorusPoint(0.25, 0.5), 0.05, back_horizon=40, budget=1000)
     assert str(err.value) == "no nontrivial candidate survived admission; tightest failing n = 8"
 
 
@@ -420,7 +431,7 @@ def test_first_mismatch_admission_matches_dense_tensor(inverted, delta, tol):
     x = sample_point(shift, BernoulliIID((0.5, 0.5)), 3, 1000)
     rows_ref, rejected_ref = _reference_dyadic_cloud_rows(shift, x, delta, 40, 2048, tol)
     cloud = sample_unstable_set(
-        shift, None, x, delta, back_horizon=40, budget=2048, admission_tolerance=tol
+        shift, x, delta, back_horizon=40, budget=2048, admission_tolerance=tol
     )
     assert np.array_equal(cloud.rows, rows_ref)
     assert cloud.rejected == rejected_ref
@@ -588,7 +599,7 @@ def test_mass_needs_four_scales(cat_cloud, cat):
 
 def test_exact_mass_needs_dyadic_metric(weighted_shift, bern_half):
     x = sample_point(weighted_shift, bern_half, 0, 1000)
-    cloud = sample_unstable_set(weighted_shift, bern_half, x, 0.5, back_horizon=10, budget=64)
+    cloud = sample_unstable_set(weighted_shift, x, 0.5, back_horizon=10, budget=64)
     cond = disintegrate_past(bern_half, 8, x)
     with pytest.raises(UnsupportedOracle):
         local_dimension_lower(cloud, cond, cloud.points[0], [0.5, 0.25, 0.125, 0.0625], sys=weighted_shift)

@@ -1,4 +1,4 @@
-"""Information functions, block entropy rates, and local entropy of Bowen balls.
+"""Pointwise information, block entropy rates, and local entropy of Bowen balls.
 
 Oracles used as ground truth: binary entropy closed forms, the stationary
 chain rate -sum_i pi_i sum_j P_ij log P_ij with pi solved by hand, and the
@@ -18,7 +18,6 @@ from ergodim.entropy import (
     conditional_entropy,
     dyadic_agreement_radius,
     extrapolate_intercept,
-    information_function,
 )
 from ergodim.errors import (
     AtomBudgetExceeded,
@@ -26,7 +25,13 @@ from ergodim.errors import (
     UnsupportedOracle,
     ZeroMassAtom,
 )
-from ergodim.measures import BernoulliIID, MarkovStationary, sample_point
+from ergodim.measures import (
+    BernoulliIID,
+    ConditionalShiftOracle,
+    MarkovStationary,
+    fixed_coords_log_measure,
+    sample_point,
+)
 from ergodim.partitions import cylinder_window, orbit_join, pullback, refine
 from ergodim.systems import FullShift, SymbolicPoint
 from tests.conftest import LOG2, LOG_LAM
@@ -46,57 +51,51 @@ def point(symbols, lo=0):
 
 
 # ---------------------------------------------------------------------------
-# information function
+# pointwise information, -log mu(x_i | x_given), through the conditional oracle
 # ---------------------------------------------------------------------------
+
+
+def information(oracle, x, i, given=()):
+    """-log of the mass of x's symbol at i, conditioned on x's symbols at ``given``."""
+    law = ConditionalShiftOracle(oracle, {j: x.coord(j) for j in given}) if given else oracle
+    return -fixed_coords_log_measure(law, [i], [x.coord(i)])
 
 
 def test_unconditional_information(bern_biased):
     x = point([1, 0, 1], lo=0)
-    alpha = cylinder_window(0, 0)
-    assert information_function(alpha, None, bern_biased, x) == pytest.approx(
-        -math.log(0.7), abs=1e-14
-    )
+    assert information(bern_biased, x, 0) == pytest.approx(-math.log(0.7), abs=1e-14)
 
 
 def test_condition_determines_atom_gives_zero(markov):
     x = point([0, 1, 1, 0], lo=0)
-    alpha = cylinder_window(1, 1)
-    cond = cylinder_window(0, 2)
-    assert information_function(alpha, cond, markov, x) == 0.0
+    assert information(markov, x, 1, given=range(0, 3)) == pytest.approx(0.0, abs=1e-14)
 
 
 @given(st.lists(st.integers(0, 1), min_size=4, max_size=4))
 def test_independent_condition_changes_nothing(word):
     oracle = BernoulliIID((0.3, 0.7))
     x = point(word, lo=0)
-    alpha = cylinder_window(0, 0)
-    cond = cylinder_window(1, 3)
-    free = information_function(alpha, None, oracle, x)
-    given_future = information_function(alpha, cond, oracle, x)
+    free = information(oracle, x, 0)
+    given_future = information(oracle, x, 0, given=range(1, 4))
     assert given_future == pytest.approx(free, abs=1e-12)
 
 
 def test_markov_conditional_is_transition_logprob(markov):
     x = point([0, 1], lo=0)
-    alpha = cylinder_window(1, 1)
-    cond = cylinder_window(0, 0)
-    assert information_function(alpha, cond, markov, x) == pytest.approx(
-        -math.log(0.3), abs=1e-14
-    )
+    assert information(markov, x, 1, given=[0]) == pytest.approx(-math.log(0.3), abs=1e-14)
 
 
 def test_zero_mass_condition_raises():
     oracle = BernoulliIID((1.0, 0.0))
     x = point([1, 0], lo=0)
     with pytest.raises(ZeroMassAtom):
-        information_function(cylinder_window(1, 1), cylinder_window(0, 0), oracle, x)
+        information(oracle, x, 1, given=[0])
 
 
 def test_zero_joint_in_positive_condition_is_infinite():
     oracle = BernoulliIID((1.0, 0.0))
     x = point([0, 1], lo=0)
-    val = information_function(cylinder_window(1, 1), cylinder_window(0, 0), oracle, x)
-    assert val == math.inf
+    assert information(oracle, x, 1, given=[0]) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Bowen balls, pointwise Lipschitz probes, and the shrinking-ball inclusion.
+"""Bowen balls, pointwise Lipschitz tables, and the shrinking-ball inclusion.
 
 Independent oracles used here: brute-force orbit-distance maxima straight
 from the definition, exhaustive enumeration of symbol flips for the dyadic
@@ -15,21 +15,25 @@ import ergodim.geometry as geometry
 from ergodim.geometry import (
     _TORUS_BLOCK_ROWS,
     InclusionReport,
+    _draw_flip_probes,
     _nearest_mismatch,
-    _probe_ratios,
+    _shift_block_ratios,
     _shift_probe_symbols,
+    _shift_window_plan,
+    _torus_ratios_from_draws,
     bowen_ball_contains,
     check_ball_inclusion,
-    estimate_pointwise_lipschitz,
     lipschitz_table,
 )
-from ergodim.lyapunov import _table_threaded
+from ergodim.lyapunov import _table_threaded, estimate_chi
 from ergodim.measures import MarkovStationary, rng_for, sample_point
 from ergodim.systems import (
     DyadicMetric,
     FullShift,
     SymbolicPoint,
+    ToralAutomorphism,
     TorusPoint,
+    TorusTranslation,
     WeightedL2Metric,
     distance,
     iterate,
@@ -111,30 +115,36 @@ def test_bowen_balls_nest_in_n(cat):
 
 
 # ---------------------------------------------------------------------------
-# pointwise Lipschitz estimates
+# pointwise Lipschitz estimates (lipschitz_table, the estimator chi runs on)
 # ---------------------------------------------------------------------------
 
 
-def test_cat_lipschitz_matches_matrix_norm(cat, lebesgue):
+def _lipschitz_row(sys, x, r, ns, probes, seed):
+    """The L_n^r(x) estimates for each n in ns, from one probe block at x."""
+    values, _ = lipschitz_table(sys, [x], r, ns, probes, seed)
+    return values[0]
+
+
+def test_cat_lipschitz_matches_matrix_norm(cat):
     # symmetric positive matrix: |A^n| = lambda^n with lambda = (3+sqrt5)/2
     x = TorusPoint(0.31, 0.64)
-    for n in (1, 4, 8):
-        est = estimate_pointwise_lipschitz(cat, x, n, r=0.2, probes=10_000, seed=2)
+    ns = [1, 4, 8]
+    for n, value in zip(ns, _lipschitz_row(cat, x, 0.2, ns, 10_000, 2)):
         truth = math.exp(n * LOG_LAM)
-        assert est.value <= truth * (1.0 + 1e-9)  # sampled sup is a lower bound
-        assert est.value >= truth * 0.98
+        assert value <= truth * (1.0 + 1e-9)  # sampled sup is a lower bound
+        assert value >= truth * 0.98
 
 
 def test_translation_is_isometry(translation):
     x = TorusPoint(0.11, 0.87)
-    est = estimate_pointwise_lipschitz(translation, x, 6, r=0.1, probes=500, seed=0)
-    assert abs(est.value - 1.0) < 1e-9
+    (value,) = _lipschitz_row(translation, x, 0.1, [6], 500, 0)
+    assert abs(value - 1.0) < 1e-9
 
 
 def test_dyadic_shift_one_step_doubling(dyadic_shift, bern_half):
     x = sample_point(dyadic_shift, bern_half, 21)
-    est = estimate_pointwise_lipschitz(dyadic_shift, x, 1, r=0.25, probes=10_000, seed=4)
-    assert 1.9 <= est.value <= 2.0
+    (value,) = _lipschitz_row(dyadic_shift, x, 0.25, [1], 10_000, 4)
+    assert 1.9 <= value <= 2.0
 
 
 def test_dyadic_exhaustive_flip_oracle(dyadic_shift, bern_half):
@@ -144,7 +154,8 @@ def test_dyadic_exhaustive_flip_oracle(dyadic_shift, bern_half):
     x = sample_point(dyadic_shift, bern_half, 33)
     free = [i for i in range(-8, 9) if abs(i) >= 3]
     r = 0.25
-    for n in (1, 2, 4, 6):
+    ns = [1, 2, 4, 6]
+    for n in ns:
         best = 0.0
         for mask in range(1, 2 ** len(free)):
             ys = x.symbols.copy()
@@ -158,30 +169,17 @@ def test_dyadic_exhaustive_flip_oracle(dyadic_shift, bern_half):
             dn = distance(dyadic_shift, iterate(dyadic_shift, x, n), iterate(dyadic_shift, y, n))
             best = max(best, dn / d0)
         assert best == 2.0**n
-        est = estimate_pointwise_lipschitz(dyadic_shift, x, n, r=r, probes=4000, seed=1)
-        assert est.value == 2.0**n
-
-
-def test_estimate_monotone_in_probe_budget(cat):
-    x = TorusPoint(0.45, 0.27)
-    small = estimate_pointwise_lipschitz(cat, x, 6, r=0.2, probes=200, seed=11)
-    large = estimate_pointwise_lipschitz(cat, x, 6, r=0.2, probes=2000, seed=11)
-    assert large.value >= small.value  # prefix-stable probe streams
-    curve_vals = [v for _, v in large.curve]
-    assert all(b >= a for a, b in zip(curve_vals, curve_vals[1:]))
+    assert list(_lipschitz_row(dyadic_shift, x, r, ns, 4000, 1)) == [2.0**n for n in ns]
 
 
 def test_estimate_nonincreasing_in_r_within_slack(cat):
     x = TorusPoint(0.62, 0.4)
-    values = [
-        estimate_pointwise_lipschitz(cat, x, 6, r=r, probes=3000, seed=8).value
-        for r in (0.2, 0.1, 0.05)
-    ]
+    values = [_lipschitz_row(cat, x, r, [6], 3000, 8)[0] for r in (0.2, 0.1, 0.05)]
     for a, b in zip(values, values[1:]):
         assert math.log(b) <= math.log(a) + 0.05
 
 
-def test_subadditivity_exact_and_sampled(cat, dyadic_shift, bern_half):
+def test_subadditivity_exact_and_sampled(cat):
     # exact route: closed-form L_n for both systems obeys the cocycle bound
     # with equality, log L_{m+n}(x) = log L_m(x) + log L_n(T^m x)
     for m, n in ((2, 3), (4, 4)):
@@ -189,26 +187,30 @@ def test_subadditivity_exact_and_sampled(cat, dyadic_shift, bern_half):
         assert (m + n) * math.log(2) == pytest.approx(m * math.log(2) + n * math.log(2))
     # sampled smoke with slack 0.05 in log scale (both sides biased low)
     x = TorusPoint(0.23, 0.91)
-    est = {
-        k: math.log(estimate_pointwise_lipschitz(cat, x, k, r=0.2, probes=4000, seed=3).value)
-        for k in (2, 3, 5)
-    }
-    xm = iterate(cat, x, 2)
-    shifted = math.log(estimate_pointwise_lipschitz(cat, xm, 3, r=0.2, probes=4000, seed=3).value)
+    est = dict(zip((2, 3, 5), np.log(_lipschitz_row(cat, x, 0.2, [2, 3, 5], 4000, 3))))
+    shifted = math.log(_lipschitz_row(cat, iterate(cat, x, 2), 0.2, [3], 4000, 3)[0])
     assert est[5] <= est[2] + shifted + 0.05
 
 
 def test_no_probe_accepted_surfaces(dyadic_shift, bern_half):
-    # a single probe at depth n = 64 almost surely draws a flip too shallow
-    # to survive the Bowen filter; the failure is reported, not imputed
-    x = sample_point(dyadic_shift, bern_half, 2)
-    with pytest.raises(NoProbeAccepted):
-        estimate_pointwise_lipschitz(dyadic_shift, x, 64, r=0.25, probes=1, seed=1)
+    # the one probe draws its flip depth from [3, 83], and only depth >= 66
+    # survives the Bowen filter through n = 64 at r = 1/4; seed 1 draws 41,
+    # so the cell stays empty and chi reports it instead of imputing a value
+    x = sample_point(dyadic_shift, bern_half, 1)
+    (depth,), *_ = _draw_flip_probes(rng_for(1, 0, 0), 3, 83, 2, x.symbols.size, 1)
+    assert depth < 66
+    values, accepted = lipschitz_table(dyadic_shift, [x], 0.25, [1, 64], 1, 1)
+    assert values[0, 0] == 2.0 and accepted[0, 0] == 1
+    assert np.isnan(values[0, 1]) and accepted[0, 1] == 0
+    with pytest.raises(NoProbeAccepted, match=r"\(r=0.25, n=64\)"):
+        estimate_chi(dyadic_shift, bern_half, [0.25], [1, 64], points=1, probes=1, seed=1)
 
 
-def test_scale_underflow_below_floor(translation):
-    with pytest.raises(ScaleUnderflow):
-        estimate_pointwise_lipschitz(translation, TorusPoint(0.5, 0.5), 2, r=1e-15, probes=10, seed=0)
+def test_scale_underflow_below_floor(bern_half):
+    # r = 2^-20 needs a flip at depth >= 21, past the stored window of 16
+    sys = FullShift(window=16)
+    with pytest.raises(ScaleUnderflow, match="no admissible flip depth"):
+        estimate_chi(sys, bern_half, [2.0**-20], [1, 2], points=4, probes=16)
 
 
 def test_lipschitz_table_marks_empty_cells(dyadic_shift, bern_half):
@@ -291,6 +293,14 @@ def test_nearest_mismatch_past_a_small_window(bern_half):
     assert np.isfinite(_nearest_mismatch(diff, x.lo, 12)).all()
     values, accepted = lipschitz_table(sys, [x], r=0.25, n_schedule=[2, 12], probes=64, seed=1)
     assert np.isfinite(values).all() and (accepted > 0).all()
+
+
+def _probe_ratios(sys, x, r, ns, probes, rng):
+    """One point's probe block through the production kernels, on its own generator."""
+    if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
+        return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
+    plan = _shift_window_plan(sys, r, x.lo, x.hi, max(ns))
+    return _shift_block_ratios(sys, [x], r, ns, probes, [rng], plan)
 
 
 def _table_reference(sys, points, r, ns, probes, seed, r_tag, first_index):

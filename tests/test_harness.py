@@ -287,6 +287,27 @@ def test_malformed_schedules_rejected(task, field, value):
             {"task": "verify", "seed": 0, "chi_floor": float("nan")},
             "field 'chi_floor': expected a number in \\[0, inf\\), got nan",
         ),
+        # a cloud below 100 points cannot give a slope: 1 point read as slope 0
+        (
+            {"task": "dimension", "seed": 0, "cloud_budget": 1},
+            "field 'cloud_budget': expected an integer >= 100, got 1",
+        ),
+        (
+            {"task": "dimension", "seed": 0, "cloud_budget": 99},
+            "field 'cloud_budget': expected an integer >= 100, got 99",
+        ),
+        (
+            {"task": "verify", "seed": 0, "cloud_budget": 1},
+            "field 'cloud_budget': expected an integer >= 100, got 1",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": 128}},
+            "field 'system': alphabet_size must be >= 2 and <= 127",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 200}},
+            "field 'system': alphabet_size must be >= 2 and <= 127",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):

@@ -19,7 +19,6 @@ from ergodim.measures import (
     LebesgueTorus,
     MarkovStationary,
     child_rngs,
-    cylinder_measure,
     entropy_rate,
     fixed_coords_log_measure,
     fixed_coords_measure,
@@ -40,19 +39,20 @@ from ergodim.systems import FullShift
 
 
 def test_bernoulli_half_cylinder_is_power_of_two(bern_half):
-    assert cylinder_measure(bern_half, [0, 1, 1, 0, 1, 0, 0]) == pytest.approx(2.0**-7, rel=1e-14)
+    word = [0, 1, 1, 0, 1, 0, 0]
+    assert fixed_coords_measure(bern_half, range(7), word) == pytest.approx(2.0**-7, rel=1e-14)
 
 
 def test_bernoulli_biased_word(bern_biased):
     # 0.3 * 0.7 * 0.7 = 0.147
-    assert cylinder_measure(bern_biased, [0, 1, 1]) == pytest.approx(0.147, rel=1e-14)
+    assert fixed_coords_measure(bern_biased, [0, 1, 2], [0, 1, 1]) == pytest.approx(0.147, rel=1e-14)
 
 
 def test_markov_word_is_pi_times_transition(markov):
     pi = markov.pi_vec
     P = markov.P
-    assert cylinder_measure(markov, [0, 1]) == pytest.approx(pi[0] * P[0, 1], rel=1e-14)
-    assert cylinder_measure(markov, [1, 1, 0]) == pytest.approx(
+    assert fixed_coords_measure(markov, [0, 1], [0, 1]) == pytest.approx(pi[0] * P[0, 1], rel=1e-14)
+    assert fixed_coords_measure(markov, [0, 1, 2], [1, 1, 0]) == pytest.approx(
         pi[1] * P[1, 1] * P[1, 0], rel=1e-14
     )
 
@@ -60,12 +60,13 @@ def test_markov_word_is_pi_times_transition(markov):
 def test_cylinder_measure_translation_invariant(markov):
     # stationarity: the same word has the same mass at any start index
     w = [0, 1, 1, 0]
-    assert cylinder_measure(markov, w, 0) == pytest.approx(cylinder_measure(markov, w, -17))
+    at_zero = fixed_coords_measure(markov, range(4), w)
+    assert at_zero == pytest.approx(fixed_coords_measure(markov, range(-17, -13), w))
 
 
 def test_lebesgue_has_no_cylinder_measure():
     with pytest.raises(UnsupportedOracle):
-        cylinder_measure(LebesgueTorus(), [0, 1])
+        fixed_coords_measure(LebesgueTorus(), [0, 1], [0, 1])
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 6, 10, 12, 20])

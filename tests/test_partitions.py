@@ -31,7 +31,6 @@ from ergodim.partitions import (
     delta_constant,
     disintegrate_past,
     hamming_ball_bound_check,
-    hamming_pseudometric,
     local_smb_check,
     orbit_join,
     past_join,
@@ -414,33 +413,8 @@ def test_shift_check_validation(markov, dyadic_shift):
 
 
 # ---------------------------------------------------------------------------
-# Hamming pseudo-metric and counting bounds
+# Hamming-ball counting bounds
 # ---------------------------------------------------------------------------
-
-
-def test_hamming_values():
-    assert hamming_pseudometric([0, 1, 1, 0], [0, 1, 0, 0]) == 0.25
-    assert hamming_pseudometric([1, 1], [1, 1]) == 0.0
-    assert hamming_pseudometric([0, 1], [1, 0]) == 1.0
-    with pytest.raises(LengthMismatch):
-        hamming_pseudometric([0, 1], [0, 1, 0])
-
-
-def test_hamming_triangle_exhaustive():
-    words = [[(w >> i) & 1 for i in range(4)] for w in range(16)]
-    for a in words:
-        for b in words:
-            for c in words:
-                assert hamming_pseudometric(a, c) <= (
-                    hamming_pseudometric(a, b) + hamming_pseudometric(b, c) + 1e-15
-                )
-
-
-def test_hamming_triangle_sampled():
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        a, b, c = rng.integers(0, 3, size=(3, 8))
-        assert hamming_pseudometric(a, c) <= hamming_pseudometric(a, b) + hamming_pseudometric(b, c)
 
 
 def test_delta_constant_binary_closed_form():
@@ -484,10 +458,10 @@ def test_hamming_ball_count_matches_brute_force():
     for n in (6, 8, 10):
         rep = hamming_ball_bound_check(n, 2, 0.04)
         count = 0
-        zero = [0] * n
+        zero = np.zeros(n, dtype=int)
         for w in range(2**n):
-            word = [(w >> i) & 1 for i in range(n)]
-            if hamming_pseudometric(zero, word) < s:
+            word = np.array([(w >> i) & 1 for i in range(n)])
+            if np.mean(zero != word) < s:
                 count += 1
         assert rep.open_ball_count == count
         assert math.log(count) <= rep.stirling_log_bound

@@ -27,7 +27,6 @@ from ergodim.systems import (
     operator_norm_power,
     resolution_floor,
     torus_displacement_norm,
-    weighted_norm,
     weighted_tail_bound,
 )
 
@@ -200,14 +199,6 @@ def test_weight_ratio_witness_on_grid():
             assert w.a(k) / w.a(l) <= w.C * w.b(abs(k - l)) + 1e-12
     m = 512
     assert abs(math.log(w.b(m))) / m < 0.05
-
-
-def test_weighted_norm_values():
-    w = default_weights()
-    assert weighted_norm(w, {}) == 0.0
-    assert weighted_norm(w, {2: 1.0}) == pytest.approx(math.sqrt(1.0 / 5.0))
-    base = weighted_norm(w, {0: 0.3, 4: -1.2})
-    assert weighted_norm(w, {0: 3 * 0.3, 4: 3 * -1.2}) == pytest.approx(3 * base)
 
 
 def test_operator_norm_identity_and_first_power():
