@@ -36,7 +36,7 @@ from .systems import (
     open_flip_depth,
     resolution_floor,
 )
-from .measures import child_rngs, rng_for
+from .measures import child_rngs, rng_for, uniform_symbols
 
 __all__ = [
     "bowen_ball_contains",
@@ -120,7 +120,7 @@ def _draw_flip_probes(rng, k_lo, k_hi, alphabet, width, probes):
     """One point's flip-probe draws, in stream order: depths, sides, symbols, offsets."""
     ks = rng.integers(k_lo, k_hi + 1, size=probes)
     sides = np.where(rng.random(probes) < 0.5, 1, -1)
-    rand = rng.integers(0, alphabet, size=(probes, width), dtype=np.int8)
+    rand = uniform_symbols(rng, alphabet, (probes, width))
     offset = rng.integers(1, alphabet, size=probes, dtype=np.int8)
     return ks, sides, rand, offset
 
@@ -139,8 +139,9 @@ def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, prob
 
 
 def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
-    """What every flip-route block on the window lo..hi shares: (k_lo, k_hi, weight matrix).
+    """What every flip-route block on the window lo..hi shares: (k_lo, k_hi, weight matrix, cols).
 
+    ``cols`` are the coordinates first..last the route reads, as (first, last).
     The weight matrix is None on the dyadic metric.
     """
     k_lo = open_flip_depth(sys, r)
@@ -152,8 +153,12 @@ def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
             f"no admissible flip depth: need k in [{k_lo}, {k_hi}] inside the window"
         )
     if isinstance(sys.metric, DyadicMetric):
-        return k_lo, k_hi, None
-    return k_lo, k_hi, _shift_weight_matrix(sys, np.arange(lo, hi + 1), n_max)
+        # d(T^j x, T^j y) = 2^-|i - j| for the nearest mismatch i; the forced flip
+        # f (|f| <= reach) always mismatches, so for j in 0..n_max that i lies
+        # within |f - j| <= reach + j of j, inside -reach..reach + 2 n_max
+        reach = max(k_hi, -k_lo)
+        return k_lo, k_hi, None, (max(lo, min(-reach, -1)), min(hi, reach + 2 * n_max))
+    return k_lo, k_hi, _shift_weight_matrix(sys, np.arange(lo, hi + 1), n_max), (lo, hi)
 
 
 def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
@@ -167,25 +172,26 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
     x0 = xs[0]
     lo, hi, width, a = x0.lo, x0.hi, x0.symbols.size, sys.alphabet_size
     n_max = max(ns)
-    k_lo, k_hi, M = plan
+    k_lo, k_hi, M, (first, last) = plan
+    cols = slice(first - lo, last - lo + 1)
+    draws = [_draw_flip_probes(rng, k_lo, k_hi, a, width, probes) for rng in rngs]
     ks, sides, rand, offset = (
-        np.concatenate(parts)
-        for parts in zip(*[_draw_flip_probes(rng, k_lo, k_hi, a, width, probes) for rng in rngs])
+        np.concatenate(parts) for parts in zip(*[(k, s, sym[:, cols], o) for k, s, sym, o in draws])
     )
-    centers = np.stack([x.symbols for x in xs])
+    centers = np.stack([x.symbols[cols] for x in xs])
     rows = np.arange(len(ks))
 
     # a probe differs from its point where it is randomized (|coord| >= k) and
     # the draw disagrees, and at the forced flip, whose symbol is x + offset mod a
-    coords = np.arange(lo, hi + 1)
-    diff = (rand.reshape(len(xs), probes, width) != centers[:, None, :]).reshape(len(ks), width)
+    coords = np.arange(first, last + 1)
+    diff = (rand.reshape(len(xs), probes, -1) != centers[:, None, :]).reshape(len(ks), -1)
     diff &= np.abs(coords)[None, :] >= ks[:, None]
-    flip_pos = sides * ks - lo
+    flip_pos = sides * ks - first
     at_flip = centers[rows // probes, flip_pos]
     diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
 
     if M is None:
-        d = 2.0 ** (-_nearest_mismatch(diff, lo, n_max))
+        d = 2.0 ** (-_nearest_mismatch(diff, first, n_max))
     else:
         # d(T^j x, T^j y)^2 = sum_i a_|i - j| * diff_i, one matmul covers all j;
         # one matmul per point keeps each product the shape it always had
@@ -218,29 +224,36 @@ def _nearest_mismatch(diff: np.ndarray, lo: int, n_max: int) -> np.ndarray:
 
     ``diff`` covers coords lo..hi (lo < 0); rows without a mismatch read inf.
     One linear scan per row: the last mismatch left of coordinate 0 and the
-    first one right of n_max seed a running max (from the left) and a running
-    min (from the right) over the columns 0..n_max.  Every entry is an exact
-    integer, so ``2.0 ** -nearest`` matches a per-j minimum bit for bit.
+    first one right of n_max seed a running last mismatch (from the left) and
+    a running next mismatch (from the right) over the columns 0..n_max.  Every
+    entry is an exact integer, so ``2.0 ** -nearest`` matches a per-j minimum
+    bit for bit.
     """
     probes = diff.shape[0]
+    rows = np.arange(probes)
     c0 = -lo  # column of coordinate 0
-    cut = min(c0 + n_max + 1, diff.shape[1])  # columns past coordinate n_max start here
-    mid = np.zeros((probes, n_max + 1), dtype=bool)
-    mid[:, : cut - c0] = diff[:, c0:cut]
-    j = np.arange(n_max + 1, dtype=float)
-    left_side = diff[:, :c0][:, ::-1]  # coords -1, -2, ..., lo
-    last_left = np.where(left_side.any(axis=1), -1.0 - left_side.argmax(axis=1), -np.inf)
-    right_side = diff[:, cut:]
-    first_right = np.full(probes, np.inf)
+    stored = min(n_max + 1, diff.shape[1] - c0)  # coords 0..n_max inside the window
+    left_side = diff[:, c0 - 1 :: -1]  # coords -1, -2, ..., lo
+    hit = left_side.argmax(axis=1)
+    left = np.where(left_side[rows, hit], -1.0 - hit, -np.inf)
+    right_side = diff[:, c0 + stored :]
+    right = np.full(probes, np.inf)
     if right_side.shape[1]:
-        first_right = np.where(right_side.any(axis=1), cut - c0 + right_side.argmax(axis=1), np.inf)
-    left = np.maximum.accumulate(
-        np.concatenate([last_left[:, None], np.where(mid, j, -np.inf)], axis=1), axis=1
-    )[:, 1:]
-    right = np.minimum.accumulate(
-        np.concatenate([first_right[:, None], np.where(mid, j, np.inf)[:, ::-1]], axis=1), axis=1
-    )[:, :0:-1]
-    return np.minimum(j - left, right - j)
+        hit = right_side.argmax(axis=1)
+        right = np.where(right_side[rows, hit], stored + hit, np.inf)
+    lefts = np.empty((probes, n_max + 1))
+    rights = np.empty((probes, n_max + 1))
+    # a loop over the few columns 0..n_max beats an accumulate along short rows
+    for j in range(n_max + 1):
+        if j < stored:
+            left = np.where(diff[:, c0 + j], j, left)
+        lefts[:, j] = left
+    for j in range(n_max, -1, -1):
+        if j < stored:
+            right = np.where(diff[:, c0 + j], j, right)
+        rights[:, j] = right
+    j = np.arange(n_max + 1, dtype=float)
+    return np.minimum(j - lefts, rights - j)
 
 
 def lipschitz_table(

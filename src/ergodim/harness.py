@@ -355,9 +355,27 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _check_radii(sys, radii):
+    """Reject torus probe radii at or below the resolution floor, before any sampling.
+
+    Torus probe magnitudes are drawn upward from the floor, so below it no
+    probe starts inside the ball and the task could only fail.  (A shift's
+    flip probes still work somewhat below its conservative floor, and a
+    radius no flip depth reaches fails there as ``ScaleUnderflow``.)
+    """
+    if not isinstance(sys, (ToralAutomorphism, TorusTranslation)):
+        return
+    floor = resolution_floor(sys)
+    low = [r for r in radii if r <= floor]
+    if low:
+        raise ConfigInvalid(f"field 'r_schedule': radius {low[0]!r} lies at or below this system's "
+                            f"resolution floor {floor:.6g}")
+
+
 def _run_chi(cfg: ExperimentConfig):
     rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
     sys = build_system(cfg.system, cfg.window, max(ns) + 64)
+    _check_radii(sys, rs)
     oracle = build_oracle(cfg.oracle)
     est = estimate_chi(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {
@@ -591,6 +609,8 @@ def _run_dimension(cfg: ExperimentConfig):
     )
     est = box_counting_dimension(cloud, scales, sys=sys)
     flags = [] if est.monotone else ["box counts not monotone across scales"]
+    if cloud.admitted == 1:
+        flags.append("only the base point was admitted: the slope measures no local unstable set")
     payload = {
         "slope": est.slope,
         "stderr": est.stderr,
@@ -614,6 +634,8 @@ def _run_dimension(cfg: ExperimentConfig):
 
 def _run_verify(cfg: ExperimentConfig):
     sys = build_system(cfg.system, cfg.window, 192)
+    if cfg.options["r_schedule"] is not None:
+        _check_radii(sys, cfg.options["r_schedule"])
     oracle = build_oracle(cfg.oracle)
     rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {

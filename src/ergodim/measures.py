@@ -41,6 +41,7 @@ __all__ = [
     "marginal_entropy",
     "rng_for",
     "child_rngs",
+    "uniform_symbols",
     "sample_point",
     "sample_points",
     "fixed_coords_measure",
@@ -171,6 +172,56 @@ def _reseeded(words: list, start: int, stop: int):
             pcg["state"] = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
             bit_gen.state = state  # also clears the buffered uint32
             yield rng
+
+
+def _next_uint32(bit_gen: np.random.PCG64, count: int) -> np.ndarray:
+    """The next ``count`` words of PCG64's ``next_uint32`` stream, as little-endian uint32.
+
+    next_uint32 returns a buffered high half if it holds one, else the low
+    half of a fresh 64-bit output, buffering its high half.  Here the fresh
+    outputs come from one ``random_raw`` draw, and the buffer fields are set
+    as the word-by-word calls would leave them.
+    """
+    state = bit_gen.state
+    head = [state["uinteger"]] if state["has_uint32"] else []
+    raw = bit_gen.random_raw(max(count - len(head) + 1, 0) // 2)
+    words = np.concatenate([np.array(head, dtype="<u4"), raw.astype("<u8", copy=False).view("<u4")])
+    if raw.size:
+        state["state"] = bit_gen.state["state"]
+        state["uinteger"] = int(words[-1])  # the last high half, read or not
+    state["has_uint32"] = int(words.size > count)
+    bit_gen.state = state
+    return words[:count]
+
+
+def uniform_symbols(rng: np.random.Generator, alphabet: int, shape) -> np.ndarray:
+    """``rng.integers(0, alphabet, size=shape, dtype=np.int8)``, drawn from whole words.
+
+    ``rng`` runs on PCG64, as every generator of ``rng_for`` and
+    ``child_rngs`` does.  numpy draws each int8 by Lemire's method from one
+    byte of a buffered 32-bit word (low byte first, a fresh word per call):
+    byte b gives m = b * alphabet, is rejected when m mod 256 < 256 mod
+    alphabet, and else yields m >> 8.  Here the words come in one batch of
+    the same ``next_uint32`` stream and the bytes are scaled and filtered as
+    arrays.  Each accepted symbol takes at least one byte, so a refill of
+    ceil(missing / 4) words never draws past what numpy draws: the symbols
+    and the generator's state afterwards are bit for bit numpy's.
+    """
+    if not 2 <= alphabet <= 127:
+        raise ValueError("alphabet must lie in 2..127 for int8 symbols")
+    out = np.empty(shape, dtype=np.int8)
+    flat = out.reshape(-1)
+    threshold = 256 % alphabet
+    filled = 0
+    while filled < out.size:
+        words = _next_uint32(rng.bit_generator, -(-(out.size - filled) // 4))
+        m = np.multiply(words.view(np.uint8), alphabet, dtype=np.uint16)
+        if threshold:
+            m = m[(m & 0xFF) >= threshold]
+        take = min(m.size, out.size - filled)
+        flat[filled : filled + take] = m[:take] >> 8
+        filled += take
+    return out
 
 
 class MeasureOracle:

@@ -40,6 +40,7 @@ from .measures import (
     marginal_entropy,
     rng_for,
     sample_symbol_block,
+    uniform_symbols,
 )
 from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric
 
@@ -401,8 +402,8 @@ def check_atom_in_unstable(
     violations = 0
     level_worst = [0.0] * len(plan.betas)
     for _ in range(pairs):
-        y = rng.integers(0, a, size=width, dtype=np.int8)
-        z = rng.integers(0, a, size=width, dtype=np.int8)
+        y = uniform_symbols(rng, a, width)
+        z = uniform_symbols(rng, a, width)
         y[agree_pos] = x.symbols[agree_pos]
         z[agree_pos] = x.symbols[agree_pos]
         d = _pair_distances_under_backshift(sys, y, z, lo, horizon)

@@ -133,6 +133,10 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
              "oracle": {"kind": "bernoulli", "probs": [1 / 200] * 200}},
             "field 'system': alphabet_size must be >= 2 and <= 127",
         ),
+        (
+            {"task": "chi", "seed": 0, "r_schedule": [1e-15]},
+            "field 'r_schedule': radius 1e-15 lies at or below this system's resolution floor 1e-14",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

@@ -396,7 +396,26 @@ _SHIFTS = {
     "dyadic-inverted": (FullShift(inverted=True), 0.05, [2, 5, 12, 20]),
     "weighted": (FullShift(metric=WeightedL2Metric()), 0.25, [1, 4, 16]),
     "weighted-inverted": (FullShift(metric=WeightedL2Metric(), inverted=True), 0.3, [2, 8, 32]),
+    # n_max near the window: the dyadic route's column range is clamped on both sides
+    "dyadic-small-window": (FullShift(window=12), 0.2, [1, 4, 9]),
 }
+
+
+@pytest.mark.parametrize("name", ["dyadic", "dyadic-inverted", "dyadic-small-window"])
+def test_dyadic_columns_hold_every_nearest_mismatch(name):
+    # worst case for the column range: besides the forced flip, at most one
+    # mismatch, anywhere in the window
+    sys, r, ns = _SHIFTS[name]
+    n_max, lo, width = max(ns), -sys.window, 2 * sys.window + 1
+    k_lo, k_hi, _, (first, last) = _shift_window_plan(sys, r, lo, sys.window, n_max)
+    flips = [side * k for k in range(k_lo, k_hi + 1) for side in (1, -1)]
+    diff = np.zeros((len(flips), width + 1, width), dtype=bool)
+    for row, f in enumerate(flips):
+        diff[row, :, f - lo] = True
+        diff[row, np.arange(width), np.arange(width)] = True  # the last row keeps the flip alone
+    diff = diff.reshape(-1, width)
+    got = _nearest_mismatch(diff[:, first - lo : last - lo + 1], first, n_max)
+    assert got.tobytes() == _nearest_reference(diff, lo, n_max).tobytes()
 
 
 def _assert_table_matches(sys, xs, r, ns, probes, first_index):

@@ -458,6 +458,31 @@ def test_dimension_default_scales_below_the_floor_are_a_config_error():
     assert len(rep.payload["scales"]) == 4
 
 
+@pytest.mark.parametrize("task", ["chi", "verify"])
+@pytest.mark.parametrize("system", [{"kind": "toral_automorphism"}, {"kind": "torus_translation"}])
+def test_torus_radii_at_or_below_the_floor_are_a_config_error(task, system):
+    # torus probe magnitudes start at the 1e-14 floor, so no probe could be accepted
+    for radii in ([1e-15], [0.1, 1e-14]):
+        with pytest.raises(ConfigInvalid, match=r"field 'r_schedule': radius 1e-1[45] lies at or "
+                                                r"below this system's resolution floor 1e-14"):
+            run({"task": task, "seed": 0, "system": system, "r_schedule": radii})
+
+
+def test_shift_radii_below_the_conservative_floor_still_run():
+    # the weighted floor (~0.177) is a worst-case tail bound; flip probes reach below it
+    rep = run({"task": "chi", "seed": 0, "system": {"kind": "full_shift", "metric": "weighted"},
+               "r_schedule": [0.1], "n_schedule": [2], "points": 8, "probes": 16})
+    assert math.isfinite(rep.payload["chi"])
+
+
+def test_dimension_with_only_the_base_point_admitted_is_flagged():
+    rep = run({"task": "dimension", "seed": 0, "system": {"kind": "full_shift"},
+               "oracle": {"kind": "bernoulli"}, "admission_tolerance": 1e-300, "back_horizon": 0})
+    assert rep.payload["admitted"] == 1 and rep.payload["slope"] == 0.0
+    assert rep.flags == ["only the base point was admitted: the slope measures no local unstable set"]
+    assert not any("base point" in f for f in run(TINY_CONFIGS["dimension"]).flags)
+
+
 def test_verify_total_failure_shows_the_flags():
     with pytest.raises(TaskFailed) as info:
         run({"task": "verify", "seed": 0, "delta": 1e-7, "base_points": 4, "chi_points": 32,

@@ -28,6 +28,7 @@ from ergodim.measures import (
     sample_points,
     sample_symbol_block,
     stationary_distribution,
+    uniform_symbols,
     word_distribution,
 )
 from ergodim.systems import FullShift
@@ -257,6 +258,38 @@ def test_child_rngs_reject_what_they_cannot_seed():
         child_rngs(0, start=-1, stop=1)
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         child_rngs(0, start=2**32 - 1, stop=2**32 + 1)
+
+
+# cell counts that are and are not multiples of 4 (one word holds 4 bytes),
+# a scalar shape and empty ones
+_SYMBOL_SHAPES = ((96, 513), (3, 5), (13,), (5, 2), (1, 1), 7, (), (0,), (4, 0))
+
+
+def _buffered_rng(seed):
+    """A generator whose PCG64 holds a buffered half-word, as after the depth draw."""
+    rng = rng_for(seed)
+    rng.integers(3, 20, size=5)  # five 32-bit draws from a small int64 range
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("alphabet", range(2, 128))
+def test_uniform_symbols_match_numpy_draws(alphabet):
+    for shape in _SYMBOL_SHAPES:
+        for make in (rng_for, _buffered_rng):
+            got_rng, want_rng = make(alphabet), make(alphabet)
+            got = uniform_symbols(got_rng, alphabet, shape)
+            want = want_rng.integers(0, alphabet, size=shape, dtype=np.int8)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.integers(0, 2**62) == want_rng.integers(0, 2**62)
+
+
+def test_uniform_symbols_reject_what_int8_cannot_hold():
+    for alphabet in (1, 128):
+        with pytest.raises(ValueError, match="2..127"):
+            uniform_symbols(rng_for(0), alphabet, 4)
 
 
 @pytest.mark.parametrize("kind", ["torus", "markov"])
