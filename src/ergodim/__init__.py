@@ -52,7 +52,6 @@ from .measures import (
 from .partitions import (
     CylinderPartition,
     SubordinatePlan,
-    TorusGridPartition,
     check_atom_in_unstable,
     construct_subordinate_partition,
     cylinder_window,

@@ -30,12 +30,12 @@ from .lyapunov import estimate_chi
 from .measures import (
     BernoulliIID,
     ConditionalShiftOracle,
-    LebesgueTorus,
     MarkovStationary,
     entropy_rate,
     fixed_coords_log_measure,
     sample_point,
 )
+from .partitions import disintegrate_past
 from .systems import (
     FIXED_DENOM,
     DyadicMetric,
@@ -543,58 +543,32 @@ def local_dimension_lower(
 ) -> DimensionEstimate:
     """Slope and liminf proxy of log mu_x(B(y, r)) / log r over the scales.
 
-    With a conditional shift oracle the ball masses are exact cylinder
-    measures (dyadic metric); otherwise the cloud's empirical measure is used
-    and scales with zero neighbor mass raise no estimate but are dropped and
-    reported (all-dropped -> MassStarvation).
+    The ball masses are exact cylinder measures of a conditional shift oracle
+    on a dyadic-metric shift; scales where the ball has zero mass are dropped
+    and reported (fewer than four left -> MassStarvation).
     """
     scales = sorted(float(s) for s in scales)[::-1]
     if len(scales) < 4:
         raise TooFewScales(f"{len(scales)} scales requested, need >= 4")
+    if not isinstance(conditional_oracle, ConditionalShiftOracle):
+        raise UnsupportedOracle(
+            f"local mass needs a conditional shift oracle, got {type(conditional_oracle).__name__}"
+        )
+    if not (isinstance(sys, FullShift) and isinstance(sys.metric, DyadicMetric)):
+        raise UnsupportedOracle("exact local mass needs a dyadic-metric shift")
     masses = []
     kept = []
     dropped = []
-    if isinstance(conditional_oracle, ConditionalShiftOracle):
-        if not (isinstance(sys, FullShift) and isinstance(sys.metric, DyadicMetric)):
-            raise UnsupportedOracle("exact local mass needs a dyadic-metric shift")
-        for r in scales:
-            rho = dyadic_agreement_radius(r)
-            coords = list(range(-rho, rho + 1))
-            logm = fixed_coords_log_measure(
-                conditional_oracle, coords, probe_y.coords(coords)
-            )
-            if logm == -math.inf:
-                dropped.append(r)
-                continue
-            kept.append(r)
-            masses.append(logm)
-        log_mass = np.array(masses)
-    else:
-        if cloud.kind == "torus":
-            v = cloud.torus_coords() - np.array([probe_y.x, probe_y.y])[None, :]
-            v -= np.round(v)
-            d = np.hypot(v[:, 0], v[:, 1])
-        else:
-            S = cloud.rows
-            coords = np.arange(cloud.lo, cloud.lo + S.shape[1])
-            target = np.asarray(probe_y.coords(coords), dtype=S.dtype)
-            diff = S != target[None, :]
-            coords_abs = np.abs(coords)
-            big = np.where(diff, coords_abs[None, :], np.iinfo(np.int64).max)
-            nearest = big.min(axis=1).astype(float)
-            d = np.where(nearest < 1e17, 2.0**-nearest, 0.0)
-        self_mask = d > 0.0  # exclude the probe itself from its neighbor counts
-        n_total = int(self_mask.sum())
-        if n_total == 0:
-            raise MassStarvation("cloud contains no point distinct from the probe")
-        for r in scales:
-            hits = int(((d < r) & self_mask).sum())
-            if hits == 0:
-                dropped.append(r)
-                continue
-            kept.append(r)
-            masses.append(math.log(hits / n_total))
-        log_mass = np.array(masses)
+    for r in scales:
+        rho = dyadic_agreement_radius(r)
+        coords = list(range(-rho, rho + 1))
+        logm = fixed_coords_log_measure(conditional_oracle, coords, probe_y.coords(coords))
+        if logm == -math.inf:
+            dropped.append(r)
+            continue
+        kept.append(r)
+        masses.append(logm)
+    log_mass = np.array(masses)
     if len(kept) < 4:
         raise MassStarvation(
             f"only {len(kept)} scales carry mass (dropped {len(dropped)}); need >= 4"
@@ -623,7 +597,7 @@ def local_dimension_lower(
 # ---------------------------------------------------------------------------
 
 
-def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4, base_scale: float | None = None):
+def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4):
     """Exact log cover counts of the full delta-local unstable set of a shift.
 
     The set of points agreeing with the base on the contracting side is
@@ -637,8 +611,7 @@ def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4, base_s
     else:
         # the first coordinate past the delta-cylinder's radius, at most 10_000
         m_delta = cylinder_depth(sys.metric.weights, a, delta, 9_998) + 1
-    eps0 = base_scale if base_scale is not None else delta / 2.0
-    scales = [eps0 * 2.0 ** (-j) for j in range(octaves + 1)]
+    scales = [delta / 2.0 * 2.0 ** (-j) for j in range(octaves + 1)]
     if isinstance(sys.metric, DyadicMetric):
         ks = [_symbolic_box_radius(sys, e) for e in scales]
     else:
@@ -649,12 +622,12 @@ def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4, base_s
         ks = []
         k = 0
         partial = w.a(0)
-        tail = max(w.total - partial, 0.0) if w.total is not None else w.tail_sum(0)
+        tail = max(w.total - partial, 0.0)
         for e in scales:
             while (a - 1) * math.sqrt(2.0 * tail) > e:
                 k += 1
                 partial += w.a(k)
-                tail = max(w.total - partial, 0.0) if w.total is not None else w.tail_sum(k)
+                tail = max(w.total - partial, 0.0)
             ks.append(k)
     log_counts = [max(k - m_delta + 1, 0) * math.log(a) for k in ks]
     slopes = [
@@ -703,15 +676,6 @@ _DISCLAIMER = (
 )
 
 
-def _invert_oracle(oracle):
-    if isinstance(oracle, (BernoulliIID, LebesgueTorus)):
-        return oracle
-    if isinstance(oracle, MarkovStationary):
-        B = oracle.backward()
-        return MarkovStationary(tuple(tuple(float(v) for v in row) for row in B), oracle.pi)
-    raise UnsupportedOracle(f"cannot reverse {type(oracle).__name__}")
-
-
 def _closed_form_h(sys, oracle) -> float:
     if isinstance(sys, ToralAutomorphism):
         lam, _ = _unstable_direction(np.array(sys.matrix, dtype=float))
@@ -751,8 +715,8 @@ def verify_main_inequality(
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    # mu is invariant under T^-1 on the same coordinates, so both directions sample mu
     work_sys = sys if direction == "forward" else invert(sys)
-    work_oracle = oracle if direction == "forward" else _invert_oracle(oracle)
     flags = []
     if r_schedule is None:
         # weighted-metric flip probes cannot reach below the stored-window
@@ -760,10 +724,10 @@ def verify_main_inequality(
         weighted = isinstance(work_sys, FullShift) and not isinstance(work_sys.metric, DyadicMetric)
         r_schedule = (0.4, 0.3, 0.2) if weighted else (0.2, 0.1, 0.05)
 
-    h_value = _closed_form_h(work_sys if isinstance(sys, ToralAutomorphism) else sys, work_oracle)
+    h_value = _closed_form_h(work_sys if isinstance(sys, ToralAutomorphism) else sys, oracle)
     chi_est = estimate_chi(
         work_sys,
-        work_oracle,
+        oracle,
         r_schedule=r_schedule,
         n_schedule=n_schedule,
         points=chi_points,
@@ -807,7 +771,7 @@ def verify_main_inequality(
     template = None  # the first torus cloud; later base points translate it
     for i in range(base_points):
         try:
-            x = sample_point(work_sys, work_oracle, seed, 1000 + i)
+            x = sample_point(work_sys, oracle, seed, 1000 + i)
             if template is not None:
                 cloud = template.translated(x)
             else:
@@ -824,14 +788,12 @@ def verify_main_inequality(
                 len(mass_liminfs) < mass_points
                 and isinstance(work_sys, FullShift)
                 and isinstance(work_sys.metric, DyadicMetric)
-                and isinstance(work_oracle, (BernoulliIID, MarkovStationary))
+                and isinstance(oracle, (BernoulliIID, MarkovStationary))
             ):
-                from .partitions import disintegrate_past
-
                 # condition deeply enough that no ball radius reaches past
                 # the fixed block (keeps the per-scale ratios clean)
                 need = dyadic_agreement_radius(min(scales)) + 1
-                cond = disintegrate_past(work_oracle, max(past_depth, need), x)
+                cond = disintegrate_past(oracle, max(past_depth, need), x)
                 probe = cloud.points[min(1, len(cloud.points) - 1)]
                 mass_est = local_dimension_lower(cloud, cond, probe, scales, sys=work_sys)
                 mass_liminfs.append(mass_est.liminf_proxy)

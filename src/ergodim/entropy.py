@@ -28,6 +28,7 @@ from .measures import (
     fixed_coords_log_measure,
     rng_for,
     sample_symbol_block,
+    word_distribution,
 )
 from .partitions import CylinderPartition, orbit_join, refine
 from .systems import (
@@ -84,8 +85,6 @@ def conditional_entropy(
     distribution over (alpha-atom, cond-atom) pairs, so the difference of
     entropies is the pair sum of -mu(A and C) log(mu(A and C)/mu(C)).
     """
-    from .measures import word_distribution
-
     if cond is None:
         dist = word_distribution(oracle, list(alpha.coords), budget=budget)
         value = _dist_entropy(dist)
@@ -125,8 +124,6 @@ def block_entropy_rate(
     if mode == "exact" and not fits:
         raise AtomBudgetExceeded(f"{block.atom_count} atoms exceed the budget of {budget}")
     if mode in ("auto", "exact") and fits:
-        from .measures import word_distribution
-
         dist = word_distribution(oracle, list(block.coords), budget=budget)
         return EntropyEstimate(
             value=_dist_entropy(dist) / n, mode="exact", n_used=n, sample_count=dist.size

@@ -273,47 +273,39 @@ def lipschitz_table(
     results are independent of evaluation order and of threading.  A caller
     that passes a contiguous slice of a larger point list gives the slice's
     first index as ``first_index``, so every point keeps its own generator.
-    The generators are seeded in one batch (``child_rngs``) per call.
+    The generators are seeded in one batch (``child_rngs``) per call.  Shift
+    points must all be stored on one window (``ValueError`` otherwise).
     """
     ns = [int(n) for n in n_schedule]
     values = np.full((len(points), len(ns)), np.nan)
     accepted_counts = np.zeros((len(points), len(ns)), dtype=int)
-    rngs = child_rngs(seed, r_tag, start=first_index, stop=first_index + len(points))
-
-    def record(rows, acc, rat):
-        # acc, rat: (points in rows, probes, len(ns))
-        accepted_counts[rows] = acc.sum(axis=1)
-        values[rows] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
-
-    if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
-        # the torus kernel ignores x: stack the per-point draws and evaluate
-        # them in blocks, one vector pass per block
-        per_block = max(1, _TORUS_BLOCK_ROWS // probes)
-        for start in range(0, len(points), per_block):
-            stop = min(start + per_block, len(points))
-            u = np.concatenate([next(rngs).random((probes, 2)) for _ in range(start, stop)])
-            acc, rat = _torus_ratios_from_draws(sys, r, ns, u)
-            shape = (stop - start, probes, len(ns))
-            record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
+    if not points:
         return values, accepted_counts
-    if not isinstance(sys, FullShift):
+    rngs = child_rngs(seed, r_tag, start=first_index, stop=first_index + len(points))
+    if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
+        # the torus kernel ignores x: stack the per-point draws, one vector pass per block
+        per_block = max(1, _TORUS_BLOCK_ROWS // probes)
+
+        def block_ratios(block):
+            u = np.concatenate([next(rngs).random((probes, 2)) for _ in block])
+            return _torus_ratios_from_draws(sys, r, ns, u)
+    elif isinstance(sys, FullShift):
+        lo, width = points[0].lo, points[0].symbols.size
+        if any((x.lo, x.symbols.size) != (lo, width) for x in points):
+            raise ValueError("shift points must all be stored on one window")
+        # blocks bounded by probe cells of the stored window
+        per_block = max(1, _SHIFT_BLOCK_CELLS // (probes * width))
+        plan = _shift_window_plan(sys, r, lo, lo + width - 1, max(ns))
+
+        def block_ratios(block):
+            return _shift_block_ratios(sys, block, r, ns, probes, itertools.islice(rngs, len(block)), plan)
+    else:
         raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
-    # shift probes: blocks of points sharing one window, bounded by probe cells
-    plans = {}  # (lo, width) -> _shift_window_plan, for this call only
-    start = 0
-    while start < len(points):
-        lo, width = points[start].lo, points[start].symbols.size
-        cap = min(len(points), start + max(1, _SHIFT_BLOCK_CELLS // (probes * width)))
-        stop = start + 1
-        while stop < cap and (points[stop].lo, points[stop].symbols.size) == (lo, width):
-            stop += 1
-        if (lo, width) not in plans:
-            plans[lo, width] = _shift_window_plan(sys, r, lo, lo + width - 1, max(ns))
-        block = itertools.islice(rngs, stop - start)
-        acc, rat = _shift_block_ratios(sys, points[start:stop], r, ns, probes, block, plans[lo, width])
-        shape = (stop - start, probes, len(ns))
-        record(slice(start, stop), acc.reshape(shape), rat.reshape(shape))
-        start = stop
+    for start in range(0, len(points), per_block):
+        block = points[start : start + per_block]
+        acc, rat = (a.reshape(len(block), probes, len(ns)) for a in block_ratios(block))
+        accepted_counts[start : start + len(block)] = acc.sum(axis=1)
+        values[start : start + len(block)] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
     return values, accepted_counts
 
 

@@ -482,14 +482,17 @@ def _run_partition_build(cfg: ExperimentConfig):
     horizon = opts["horizon"]
     sys = build_system(cfg.system, cfg.window, 8 * (opts["depth"] + horizon))
     oracle = build_oracle(cfg.oracle)
-    plan = construct_subordinate_partition(
-        sys, oracle,
-        delta=opts["delta"],
-        depth=opts["depth"],
-        past_depth=opts["past_depth"],
-        k_max=opts["k_max"],
-        margin=opts["margin"],
-    )
+    try:
+        plan = construct_subordinate_partition(
+            sys, oracle,
+            delta=opts["delta"],
+            depth=opts["depth"],
+            past_depth=opts["past_depth"],
+            k_max=opts["k_max"],
+            margin=opts["margin"],
+        )
+    except ValueError as exc:  # the only one left: diam(beta_1) exceeds delta
+        raise ConfigInvalid(f"field 'delta': {exc}") from exc
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     atom = check_atom_in_unstable(
         sys, plan, x, horizon=horizon, pairs=opts["pairs"], seed=cfg.seed
@@ -654,7 +657,7 @@ def _run_verify(cfg: ExperimentConfig):
     }
     params = {
         "chi_floor": rep.chi_floor,
-        "slack_tolerance": 0.05,
+        "slack_tolerance": _VERIFY_PARAMETERS["slack_tolerance"].default,
         "aggregation": "median over base points",
     }
     return payload, params, list(rep.flags)

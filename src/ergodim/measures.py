@@ -463,11 +463,9 @@ def sample_point(
     raise IncompatibleOracle(f"unknown system kind {type(sys).__name__}")
 
 
-def sample_points(sys, oracle, master_seed: int, count: int, start_index: int = 0) -> list:
-    rngs = child_rngs(master_seed, start=start_index, stop=start_index + count)
-    return [
-        sample_point(sys, oracle, master_seed, start_index + i, rng=rng) for i, rng in enumerate(rngs)
-    ]
+def sample_points(sys, oracle, master_seed: int, count: int) -> list:
+    rngs = child_rngs(master_seed, start=0, stop=count)
+    return [sample_point(sys, oracle, master_seed, i, rng=rng) for i, rng in enumerate(rngs)]
 
 
 # ---------------------------------------------------------------------------

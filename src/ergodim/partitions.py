@@ -46,7 +46,6 @@ from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric
 
 __all__ = [
     "CylinderPartition",
-    "TorusGridPartition",
     "cylinder_window",
     "refine",
     "pullback",
@@ -111,27 +110,6 @@ class CylinderPartition:
         raise MixedSystems("unknown shift metric")
 
 
-@dataclass(frozen=True)
-class TorusGridPartition:
-    """Partition of the 2-torus into an m-by-m grid of half-open squares."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    @property
-    def atom_count(self) -> int:
-        return self.m * self.m
-
-    def label(self, point) -> tuple:
-        return (int(point.x * self.m), int(point.y * self.m))
-
-    def diameter_bound(self, sys=None) -> float:
-        return math.sqrt(2.0) / self.m
-
-
 def cylinder_window(lo: int, hi: int, alphabet: int = 2) -> CylinderPartition:
     """The partition by symbols on the contiguous window lo..hi."""
     if hi < lo:
@@ -139,22 +117,16 @@ def cylinder_window(lo: int, hi: int, alphabet: int = 2) -> CylinderPartition:
     return CylinderPartition(tuple(range(lo, hi + 1)), alphabet)
 
 
-def refine(a, b):
-    """Common refinement (join) of two partitions of the same kind."""
-    if isinstance(a, CylinderPartition) and isinstance(b, CylinderPartition):
-        if a.alphabet != b.alphabet:
-            raise MixedSystems("cannot join cylinder partitions over different alphabets")
-        return CylinderPartition(tuple(sorted(set(a.coords) | set(b.coords))), a.alphabet)
-    if isinstance(a, TorusGridPartition) and isinstance(b, TorusGridPartition):
-        return TorusGridPartition(math.lcm(a.m, b.m))
-    raise MixedSystems(f"cannot join {type(a).__name__} with {type(b).__name__}")
+def refine(a: CylinderPartition, b: CylinderPartition) -> CylinderPartition:
+    """Common refinement (join) of two cylinder partitions."""
+    if a.alphabet != b.alphabet:
+        raise MixedSystems("cannot join cylinder partitions over different alphabets")
+    return CylinderPartition(tuple(sorted(set(a.coords) | set(b.coords))), a.alphabet)
 
 
-def pullback(a, k: int):
-    """T^{-k} a: for cylinder partitions the coordinate set translates by +k."""
-    if isinstance(a, CylinderPartition):
-        return CylinderPartition(tuple(c + k for c in a.coords), a.alphabet)
-    raise MixedSystems(f"pullback is only defined for cylinder partitions, got {type(a).__name__}")
+def pullback(a: CylinderPartition, k: int) -> CylinderPartition:
+    """T^{-k} a: the coordinate set translates by +k."""
+    return CylinderPartition(tuple(c + k for c in a.coords), a.alphabet)
 
 
 def orbit_join(a: CylinderPartition, k_from: int, k_to: int) -> CylinderPartition:
@@ -238,9 +210,10 @@ def construct_subordinate_partition(
     past_depth: int = 8,
     k_max: int = 16,
     margin: float = 0.1,
-    beta_chain: list | None = None,
 ) -> SubordinatePlan:
     """Choose translation times k_q by least-k search under the entropy-gap test.
+
+    The chain is beta_p = the cylinder window -p..p, for p = 1..depth.
 
     Raises ``SearchExhausted`` (carrying the residual curve of the failed
     level) if no k <= k_max satisfies the gap inequality with the margin.
@@ -249,14 +222,7 @@ def construct_subordinate_partition(
         raise ValueError("depth must be >= 1")
     if not (0.0 < delta):
         raise ValueError("delta must be positive")
-    if beta_chain is None:
-        beta_chain = [cylinder_window(-p, p, sys.alphabet_size) for p in range(1, depth + 1)]
-    if len(beta_chain) < depth:
-        raise ValueError("beta chain shorter than the requested depth")
-    betas = beta_chain[:depth]
-    for a, b in zip(betas, betas[1:]):
-        if not set(a.coords) <= set(b.coords):
-            raise ValueError("beta chain must be nested (each refines into the next)")
+    betas = [cylinder_window(-p, p, sys.alphabet_size) for p in range(1, depth + 1)]
 
     beta1_diam = betas[0].diameter_bound(sys)
     t_beta1_diam = pullback(betas[0], -1).diameter_bound(sys)  # T beta_1

@@ -81,34 +81,21 @@ class WeightSequence:
     """Weights a_k > 0, strictly decreasing, with subexponential-ratio witness.
 
     The witness asserts a_k / a_l <= C * b(|k - l|) with (1/m) log b(m) -> 0.
-    ``total`` is sum_{k>=0} a_k when known in closed form; it makes exact
-    tail sums available.
+    ``total`` is sum_{k>=0} a_k in closed form, which makes tail sums exact.
     """
 
     a: callable = _default_a
     b: callable = _default_b
     C: float = 2.0
-    total: float | None = _DEFAULT_TOTAL
+    total: float = field(kw_only=True)
 
     def values(self, kmax: int) -> np.ndarray:
         return np.array([self.a(k) for k in range(kmax + 1)], dtype=float)
 
     def tail_sum(self, kmin: int) -> float:
-        """sum_{k > kmin} a_k, exact when ``total`` is known."""
-        if self.total is not None:
-            partial = math.fsum(self.a(k) for k in range(kmin + 1))
-            return max(self.total - partial, 0.0)
-        # adaptive fallback: sum until terms are negligible
-        s = 0.0
-        k = kmin + 1
-        while True:
-            t = self.a(k)
-            s += t
-            if t < 1e-18 * max(s, 1e-300):
-                return s
-            k += 1
-            if k > kmin + 10_000_000:  # pragma: no cover - safety valve
-                return s
+        """sum_{k > kmin} a_k."""
+        partial = math.fsum(self.a(k) for k in range(kmin + 1))
+        return max(self.total - partial, 0.0)
 
     def check(self, grid_max: int = 512, horizon: int = 100_000, tol: float = 1e-3) -> dict:
         """Numeric checks of the decreasing / ratio-bound / subexponential claims.
@@ -139,7 +126,7 @@ class WeightSequence:
 
 def default_weights() -> WeightSequence:
     """The standard weights a_k = 1/(k^2+1) with witness b(m) = (m+1)^2, C = 2."""
-    return WeightSequence()
+    return WeightSequence(total=_DEFAULT_TOTAL)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +162,6 @@ class ToralAutomorphism(SystemDescriptor):
         (a, b), (c, d) = self.matrix
         s = self.det  # +1 or -1
         return ((d * s, -b * s), (-c * s, a * s))
-
-    @property
-    def hyperbolic(self) -> bool:
-        (a, _), (_, d) = self.matrix
-        return abs(a + d) > 2
 
     def as_array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
@@ -462,12 +444,9 @@ def open_flip_depth(sys: FullShift, r: float) -> int:
     k = 1
     while k < sys.window:
         a.append(weights.a(k - 1))
-        # weighted_tail_bound(weights, k - 1); with a known total, tail_sum's
-        # prefix is fsum(a), and fsum is correctly rounded, so the bound is the same
-        if weights.total is None:
-            bound = weighted_tail_bound(weights, k - 1)  # adaptive sums share no prefix
-        else:
-            bound = math.sqrt(2.0 * max(weights.total - math.fsum(a), 0.0))
+        # weighted_tail_bound(weights, k - 1): tail_sum's prefix is fsum(a), and
+        # fsum is correctly rounded, so the bound is the same
+        bound = math.sqrt(2.0 * max(weights.total - math.fsum(a), 0.0))
         if bound < r:
             break
         k += 1

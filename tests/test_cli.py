@@ -137,6 +137,10 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "chi", "seed": 0, "r_schedule": [1e-15]},
             "field 'r_schedule': radius 1e-15 lies at or below this system's resolution floor 1e-14",
         ),
+        (
+            {"task": "partition-build", "seed": 0, "system": {"kind": "full_shift", "metric": "weighted"}},
+            "field 'delta': diam(beta_1) = 1.07",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

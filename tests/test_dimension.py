@@ -35,7 +35,7 @@ from ergodim.errors import (
     UnsupportedOracle,
     WindowExhausted,
 )
-from ergodim.measures import BernoulliIID, sample_point
+from ergodim.measures import BernoulliIID, MarkovStationary, sample_point, sample_points
 from ergodim.partitions import disintegrate_past
 from ergodim.systems import (
     FIXED_DENOM,
@@ -574,21 +574,24 @@ def test_point_mass_conditional_slope_zero(shift_cloud):
     assert est.liminf_proxy == 0.0
 
 
-def test_empirical_mass_slope_near_one(cat_cloud, cat):
-    _, cloud = cat_cloud
-    probe = cloud.points[1]
-    scales = [0.05 * 2.0 ** (-j) for j in range(2, 8)]
-    est = local_dimension_lower(cloud, None, probe, scales, sys=cat)
-    assert 0.9 <= est.slope <= 1.1
-    assert est.liminf_proxy > 0.5
-    assert not est.dropped_scales
+def test_local_mass_needs_a_conditional_oracle(shift_cloud, cat_cloud, cat):
+    shift, oracle, _, cloud = shift_cloud
+    scales = [2.0 ** (-k) for k in range(2, 10)]
+    with pytest.raises(UnsupportedOracle, match="conditional shift oracle"):
+        local_dimension_lower(cloud, oracle, cloud.points[1], scales, sys=shift)
+    _, torus_cloud = cat_cloud
+    with pytest.raises(UnsupportedOracle, match="conditional shift oracle"):
+        local_dimension_lower(torus_cloud, None, torus_cloud.points[1], scales, sys=cat)
 
 
-def test_mass_starvation(cat_cloud, cat):
-    _, cloud = cat_cloud
-    probe = cloud.points[1]
-    with pytest.raises(MassStarvation):
-        local_dimension_lower(cloud, None, probe, [1e-12, 5e-13, 2.5e-13, 1.25e-13], sys=cat)
+def test_mass_starvation(shift_cloud):
+    # the probe carries a 1 at coordinate 0, which the all-zeros measure never emits
+    shift, _, x, cloud = shift_cloud
+    zero = type(x)(np.zeros_like(x.symbols), x.lo)
+    cond = disintegrate_past(BernoulliIID((1.0, 0.0)), 12, zero)
+    probe = type(x)(np.ones_like(x.symbols), x.lo)
+    with pytest.raises(MassStarvation, match="only 0 scales carry mass"):
+        local_dimension_lower(cloud, cond, probe, [0.25, 0.125, 0.0625, 0.03125], sys=shift)
 
 
 def test_mass_needs_four_scales(cat_cloud, cat):
@@ -747,13 +750,13 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
     [
         FullShift(metric=WeightedL2Metric()),
         FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=16),
-        # no closed-form total: the adaptive tail sums stay in use
+        # geometric weights, sum_k 2^-k = 2
         FullShift(
-            metric=WeightedL2Metric(WeightSequence(a=lambda k: 0.5**k, b=lambda m: 1.0, C=1.0, total=None)),
+            metric=WeightedL2Metric(WeightSequence(a=lambda k: 0.5**k, b=lambda m: 1.0, C=1.0, total=2.0)),
             window=24,
         ),
     ],
-    ids=["default", "ternary-w16", "no-total"],
+    ids=["default", "ternary-w16", "geometric"],
 )
 def test_weighted_flip_depth_matches_the_per_k_loop(sys):
     """One read of the weights gives the depths the per-k ``weighted_tail_bound`` loop gave.
@@ -907,3 +910,31 @@ def test_verify_surfaces_total_failure(cat, lebesgue):
             cat, lebesgue, delta=1e-9, base_points=3, chi_points=16, chi_probes=16,
             n_schedule=(2, 4),
         )
+
+
+def test_backward_verify_samples_mu_itself(monkeypatch):
+    # mu is invariant under the inverse shift on the same coordinates, so
+    # backward base points must follow mu's own transition law; the cyclic
+    # chain is not reversible, so its time reversal would read differently
+    import ergodim.dimension as dimension
+
+    rows = ((0.1, 0.8, 0.1), (0.1, 0.1, 0.8), (0.8, 0.1, 0.1))
+    chain = MarkovStationary(rows)
+    handed = []
+
+    def recording_sample_point(sys, oracle, *args, **kwargs):
+        handed.append(oracle)
+        return sample_point(sys, oracle, *args, **kwargs)
+
+    monkeypatch.setattr(dimension, "sample_point", recording_sample_point)
+    shift = FullShift(alphabet_size=3, window=64)
+    verify_main_inequality(
+        shift, chain, direction="backward", base_points=1, cloud_budget=729,
+        chi_points=8, chi_probes=8, n_schedule=(2, 4), seed=0,
+    )
+    assert handed and all(oracle is chain for oracle in handed)
+    xs = sample_points(invert(FullShift(alphabet_size=3, window=4)), handed[0], 0, 3000)
+    pairs = np.array([x.coords([0, 1]) for x in xs])
+    after_zero = pairs[pairs[:, 0] == 0, 1]
+    row = np.bincount(after_zero, minlength=3) / len(after_zero)
+    np.testing.assert_allclose(row, rows[0], atol=0.03)

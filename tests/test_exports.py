@@ -5,6 +5,9 @@ lists it in ``__all__`` (``errors`` aside: its exceptions are the public
 failure modes).  It counts as reached when another module of the package,
 ``tests/test_acceptance.py``, or another top-level statement of its own
 module refers to it.  A helper that only its own unit tests call fails here.
+The same holds for each top-level private function or class (``_name``): some
+statement of the package other than its definition, and other than an
+import, must read it.
 """
 import ast
 from pathlib import Path
@@ -67,3 +70,19 @@ def test_every_public_name_is_reached():
         if not (elsewhere or at_home or name in gate):
             unreached.append(f"{mod}.{name}")
     assert unreached == []
+
+
+def test_every_private_helper_is_read():
+    modules = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    reads = [
+        (stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+    ]
+    unread = [
+        f"{mod}.{stmt.name}"
+        for mod, tree in sorted(modules.items())
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    ]
+    assert unread == []

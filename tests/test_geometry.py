@@ -447,11 +447,17 @@ def test_shift_blocks_match_per_point_loop_at_the_default_cap():
     _assert_table_matches(sys, xs, r, ns, probes, 0)
 
 
-def test_shift_blocks_split_where_the_stored_window_changes(bern_half):
-    # points stored with different windows never share a block
+def test_shift_points_on_two_windows_are_rejected(bern_half):
     sys = FullShift(window=24)
-    xs = [sample_point(FullShift(window=w), bern_half, 3, i) for i, w in enumerate([16, 16, 24, 16, 24, 24])]
-    _assert_table_matches(sys, xs, 0.2, [1, 4, 6], 32, 5)
+    xs = [sample_point(FullShift(window=w), bern_half, 3, i) for i, w in enumerate([24, 24, 16])]
+    with pytest.raises(ValueError, match="one window"):
+        lipschitz_table(sys, xs, 0.2, [1, 4, 6], 32, 5)
+
+
+@pytest.mark.parametrize("system", ["cat", "dyadic_shift"])
+def test_no_points_give_empty_tables(request, system):
+    values, accepted = lipschitz_table(request.getfixturevalue(system), [], 0.2, [1, 4], 32, 5)
+    assert values.shape == accepted.shape == (0, 2)
 
 
 @pytest.mark.parametrize("name", sorted(_SHIFTS))
@@ -529,3 +535,18 @@ def test_inclusion_underflow_raises_when_immediate(dyadic_shift, bern_half):
     x = sample_point(dyadic_shift, bern_half, 12)
     with pytest.raises(ScaleUnderflow):
         check_ball_inclusion(dyadic_shift, x, lam=200.0, eps=0.1, eta=0.5, n_max=5, probes_per_n=10, seed=0)
+
+
+def test_inclusion_symbolic_route(bern_half):
+    # a flip at depth k sits at 2^-k and reaches 2^-(k - n + 1) within n steps:
+    # radius 2^-(1.5 n + 1) keeps that below eps = 1/4, radius 2^-(0.5 n + 1) does not
+    sys = FullShift(window=64)
+    x = sample_point(sys, bern_half, 12)
+    args = dict(eps=0.25, eta=0.5, n_max=12, probes_per_n=100, seed=0)
+    fast = check_ball_inclusion(sys, x, lam=1.5 * math.log(2.0), **args)
+    assert fast.holds_from_n == 1 and fast.first_failure is None
+    assert fast.tested_up_to == 12 and fast.underflow_from_n is None
+    slow = check_ball_inclusion(sys, x, lam=0.5 * math.log(2.0), **args)
+    assert slow.holds_from_n is None
+    n_fail, witness = slow.first_failure
+    assert n_fail == 1 and witness is not None

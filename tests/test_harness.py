@@ -308,11 +308,15 @@ def test_malformed_schedules_rejected(task, field, value):
             {"task": "chi", "seed": 0, "system": {"kind": "full_shift", "alphabet": 200}},
             "field 'system': alphabet_size must be >= 2 and <= 127",
         ),
+        (
+            {"task": "partition-build", "seed": 0, "system": {"kind": "full_shift", "metric": "weighted"}},
+            r"field 'delta': diam\(beta_1\) = 1.07\d* exceeds delta = 0.5",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):
     with pytest.raises(ConfigInvalid, match=message):
-        ExperimentConfig.from_dict(raw)
+        run_experiment(ExperimentConfig.from_dict(raw))
 
 
 def test_mode_and_direction_validation():
@@ -432,6 +436,19 @@ def test_partition_task_plan():
     assert rep.payload["atom_check"]["violations"] == 0
     assert rep.parameters["Q"] == 3 and rep.parameters["P"] == 8
     assert rep.flags == []
+
+
+def test_weighted_partition_task_above_the_first_diameter():
+    # diam(beta_1) = 1.07 on the weighted metric: delta 1.2 admits the chain,
+    # and the atom check tracks weighted back-iterate distances
+    rep = run({"task": "partition-build", "seed": 0,
+               "system": {"kind": "full_shift", "metric": "weighted"}, "delta": 1.2})
+    atom = rep.payload["atom_check"]
+    assert rep.payload["beta1_diameter"] == pytest.approx(1.0717, abs=1e-4)
+    assert atom["violations"] == 0 and atom["level_violations"] == 0
+    assert 0.0 < atom["worst_distance"] <= 1.2
+    assert all(observed <= bound for _, bound, observed in atom["per_level"])
+    assert rep.flags == ["diam(T beta_1) exceeds delta (flagged, not fatal)"]
 
 
 def test_smb_task_with_shift_lemma():

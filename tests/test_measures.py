@@ -295,9 +295,9 @@ def test_uniform_symbols_reject_what_int8_cannot_hold():
 @pytest.mark.parametrize("kind", ["torus", "markov"])
 def test_sample_points_match_per_point_draws(kind, cat, lebesgue, markov):
     sys, oracle = (cat, lebesgue) if kind == "torus" else (FullShift(window=8), markov)
-    start = _CHILD_CHUNK - 3  # straddles a chunk boundary
-    got = sample_points(sys, oracle, 5, 7, start_index=start)
-    want = [sample_point(sys, oracle, 5, start + i) for i in range(7)]
+    count = _CHILD_CHUNK + 2  # straddles a chunk boundary
+    got = sample_points(sys, oracle, 5, count)
+    want = [sample_point(sys, oracle, 5, i) for i in range(count)]
     for a, b in zip(got, want, strict=True):
         if kind == "torus":
             assert (a.x, a.y) == (b.x, b.y)

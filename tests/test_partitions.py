@@ -23,7 +23,6 @@ from ergodim.errors import (
 from ergodim.measures import BernoulliIID, sample_point, word_distribution
 from ergodim.partitions import (
     CylinderPartition,
-    TorusGridPartition,
     check_atom_in_unstable,
     construct_subordinate_partition,
     coord_entropy,
@@ -88,22 +87,7 @@ def test_past_join_is_strict_past():
         past_join(cylinder_window(0, 0), 0)
 
 
-def test_grid_partition_label_and_join():
-    from ergodim.systems import TorusPoint
-
-    g = TorusGridPartition(4)
-    assert g.label(TorusPoint(0.3, 0.77)) == (1, 3)
-    assert g.atom_count == 16
-    assert refine(TorusGridPartition(4), TorusGridPartition(6)).m == 12
-    with pytest.raises(ValueError):
-        TorusGridPartition(0)
-
-
 def test_mixed_kinds_rejected():
-    with pytest.raises(MixedSystems):
-        refine(cylinder_window(0, 0), TorusGridPartition(2))
-    with pytest.raises(MixedSystems):
-        pullback(TorusGridPartition(2), 1)
     with pytest.raises(MixedSystems):
         refine(cylinder_window(0, 0), cylinder_window(0, 0, alphabet=3))
 
@@ -245,25 +229,6 @@ def test_chain_validation(dyadic_shift, bern_half):
     with pytest.raises(ValueError):
         # diam(beta_1) = 0.25 exceeds a tiny delta
         construct_subordinate_partition(dyadic_shift, bern_half, delta=0.1)
-    with pytest.raises(ValueError):
-        construct_subordinate_partition(
-            dyadic_shift, bern_half, delta=0.5, depth=2,
-            beta_chain=[cylinder_window(-1, 1)],
-        )
-    with pytest.raises(ValueError):
-        construct_subordinate_partition(
-            dyadic_shift, bern_half, delta=0.5, depth=2,
-            beta_chain=[cylinder_window(-1, 1), cylinder_window(0, 4)],
-        )
-
-
-def test_custom_one_sided_chain(dyadic_shift, bern_half):
-    chain = [cylinder_window(0, p) for p in range(1, 4)]
-    plan = construct_subordinate_partition(
-        dyadic_shift, bern_half, delta=0.5, depth=3, beta_chain=chain
-    )
-    assert plan.ks == [0, 1, 2]
-    assert plan.sup_c == pytest.approx(LOG2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,8 @@ def test_default_weights_invariants():
     expect = 0.5 * (1.0 + math.pi / math.tanh(math.pi))
     assert math.fsum(w.a(k) for k in range(200_000)) == pytest.approx(expect, abs=1e-5)
     assert w.tail_sum(0) == pytest.approx(expect - 1.0, rel=1e-12)
+    with pytest.raises(TypeError, match="total"):
+        WeightSequence()  # tail sums read the closed-form total, so it has no default
 
 
 def test_weight_ratio_witness_on_grid():
@@ -231,9 +233,3 @@ def test_resolution_floors(cat, dyadic_shift, weighted_shift):
     )
     # the documented truncation bound at the default window stays below 0.09
     assert weighted_tail_bound(w, 256) < 0.09
-
-
-def test_custom_weight_sequence_without_closed_total():
-    w = WeightSequence(a=lambda k: 0.5**k, b=lambda m: 1.0, C=1.0, total=None)
-    # adaptive tail: sum_{k>2} 2^-k = 2^-2
-    assert w.tail_sum(2) == pytest.approx(0.25, rel=1e-9)
