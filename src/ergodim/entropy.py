@@ -223,26 +223,8 @@ def _bk_mc_shift(sys: FullShift, oracle, x, eps_schedule, ns, samples, seed):
         base = mism[:, ca - 1] if ca >= 1 else 0
         return int((mism[:, cb] - base == 0).sum())
 
-    per_eps = []
-    for eps, rho in zip(eps_schedule, rhos):
-        hits = [window_hits(-rho, n - 1 + rho) for n in ns]
-        vals = [
-            (-math.log(h / samples) / n) if h > 0 else math.inf for h, n in zip(hits, ns)
-        ]
-        tail_v = vals[len(ns) // 2 :]
-        tail_h = hits[len(ns) // 2 :]
-        per_eps.append(
-            {
-                "eps": eps,
-                "rho": rho,
-                "values": vals,
-                "hits": hits,
-                "lower": min(tail_v),
-                "upper": max(tail_v),
-                "min_tail_hits": min(tail_h),
-            }
-        )
-    return per_eps
+    return [_bk_mc_record(eps, [window_hits(-rho, n - 1 + rho) for n in ns], ns, samples, rho=rho)
+            for eps, rho in zip(eps_schedule, rhos)]
 
 
 def _bk_mc_torus(sys: ToralAutomorphism, x: TorusPoint, eps_schedule, ns, samples, seed):
@@ -265,25 +247,16 @@ def _bk_mc_torus(sys: ToralAutomorphism, x: TorusPoint, eps_schedule, ns, sample
             per_n_max[k + 1] = run_max.copy()
         cur = (cur @ A.T) % FIXED_DENOM
         cur_x = (A @ cur_x) % FIXED_DENOM
-    per_eps = []
-    for eps in eps_schedule:
-        hits = [int((per_n_max[n] < eps).sum()) for n in ns]
-        vals = [
-            (-math.log(h / samples) / n) if h > 0 else math.inf for h, n in zip(hits, ns)
-        ]
-        tail_v = vals[len(ns) // 2 :]
-        tail_h = hits[len(ns) // 2 :]
-        per_eps.append(
-            {
-                "eps": eps,
-                "values": vals,
-                "hits": hits,
-                "lower": min(tail_v),
-                "upper": max(tail_v),
-                "min_tail_hits": min(tail_h),
-            }
-        )
-    return per_eps
+    return [_bk_mc_record(eps, [int((per_n_max[n] < eps).sum()) for n in ns], ns, samples)
+            for eps in eps_schedule]
+
+
+def _bk_mc_record(eps, hits, ns, samples, **extra):
+    """One radius of a Monte Carlo run: -log(hit frequency) / n and its trailing-half range."""
+    vals = [(-math.log(h / samples) / n) if h > 0 else math.inf for h, n in zip(hits, ns)]
+    tail_v, tail_h = vals[len(ns) // 2 :], hits[len(ns) // 2 :]
+    return {"eps": eps, **extra, "values": vals, "hits": hits, "lower": min(tail_v),
+            "upper": max(tail_v), "min_tail_hits": min(tail_h)}
 
 
 def brin_katok_local(

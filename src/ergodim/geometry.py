@@ -80,10 +80,7 @@ def _torus_ratios_from_draws(sys, r, ns, u):
     angles = 2.0 * math.pi * u[:, 1]
     v = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
 
-    if isinstance(sys, TorusTranslation):
-        A = np.eye(2)
-    else:
-        A = sys.as_array()
+    A = sys.as_array()
     n_max = max(ns)
     w = v.copy()
     d0 = _torus_norm_rows(v)
@@ -408,10 +405,7 @@ def check_ball_inclusion(
 
 
 def _torus_inclusion_sample(sys, radius, eps, n, probes, rng):
-    if isinstance(sys, TorusTranslation):
-        A = np.eye(2)
-    else:
-        A = sys.as_array()
+    A = sys.as_array()
     u = rng.random((probes, 2))
     mags = radius * np.sqrt(u[:, 0])  # area-uniform in the open ball
     angles = 2.0 * math.pi * u[:, 1]

@@ -6,7 +6,8 @@ carry the numeric payload separately from wall-clock metadata so that
 re-running a config byte-reproduces the payload.
 
 Everything the harness knows about a task lives in its ``TaskSpec`` entry of
-``TASKS``: each option's default and type, runner, CSV table, headline and default system.
+``TASKS``: each option's default and type, runner, CSV table, headline and the systems it
+runs on.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .partitions import (
     shift_lemma_check,
 )
 from .systems import (
+    DEFAULT_WINDOW,
     DyadicMetric,
     FullShift,
     ToralAutomorphism,
@@ -144,8 +146,7 @@ _LENGTHS = _schedule(1, "n", "[1, inf)", integers=True)
 _POSITIVE_REAL = _number("(0, inf)")
 # the keys every task takes besides task, system and oracle: name -> (default, type);
 # seed has no default and is required
-_COMMON_OPTIONS = {"seed": (None, _int(0)), "threads": (1, _int(1)),
-                   "window": (None, _nullable(_int(8)))}
+_COMMON_OPTIONS = {"seed": (None, _int(0)), "threads": (1, _int(1))}
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ class TaskSpec:
     run: Callable  # ExperimentConfig -> (payload, parameters, flags)
     table: Callable  # payload -> (CSV header, CSV rows)
     headline: Callable  # payload -> one-line summary
-    system: dict  # system descriptor used when the config names none
+    systems: tuple  # descriptors of the system families it runs on; the first is the default
 
 
 @dataclass
@@ -173,7 +174,6 @@ class ExperimentConfig:
     oracle: dict
     options: dict = field(default_factory=dict)
     threads: int = 1
-    window: int | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -198,24 +198,32 @@ class ExperimentConfig:
             error = check(options[name])
             if error:
                 raise ConfigInvalid(f"field '{name}': {error}")
-        seed, threads, window = (options.pop(key) for key in _COMMON_OPTIONS)
-        system = raw.get("system", dict(TASKS[task].system))
+        seed, threads = (options.pop(key) for key in _COMMON_OPTIONS)
+        system = raw.get("system", dict(TASKS[task].systems[0]))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
         oracle = raw.get("oracle", _default_oracle(system))
         _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
         # build both once, so constructor errors surface here as config errors
         for label, build in (
-            ("system", lambda: build_system(system, window)),
+            ("system", lambda: build_system(system)),
             ("oracle", lambda: build_oracle(oracle)),
         ):
             try:
                 build()
             except (TypeError, ValueError, NonInvertible) as exc:
                 raise ConfigInvalid(f"field '{label}': {exc}") from exc
-        return ExperimentConfig(
-            task=task, seed=seed, system=system, oracle=oracle,
-            options=options, threads=threads, window=window,
-        )
+        families = [_family(desc) for desc in TASKS[task].systems]
+        if _family(system) not in families:
+            raise ConfigInvalid(f"field 'system': task {task!r} runs on {', '.join(families)}, "
+                                f"got {_family(system)}")
+        return ExperimentConfig(task=task, seed=seed, system=system, oracle=oracle,
+                                options=options, threads=threads)
+
+
+def _family(desc: dict) -> str:
+    """A system's family: its kind, and for a full shift its metric."""
+    kind = desc["kind"]
+    return f"{kind}/{desc.get('metric', 'dyadic')}" if kind == "full_shift" else kind
 
 
 def _default_oracle(system: dict) -> dict:
@@ -242,7 +250,7 @@ def _integral(v, rule: str) -> int:
     return int(v)
 
 
-def build_system(desc: dict, window: int | None = None, min_window: int = 0):
+def build_system(desc: dict, min_window: int = 0):
     """The system a descriptor names; a shift keeps at least ``min_window`` coordinates a side."""
     kind = desc["kind"]
     if kind == "toral_automorphism":
@@ -262,7 +270,7 @@ def build_system(desc: dict, window: int | None = None, min_window: int = 0):
     return FullShift(
         alphabet_size=_integral(desc.get("alphabet", 2), "alphabet must be an integer"),
         metric=metric,
-        window=max(_integral(window or desc.get("window", 256), "window must be an integer"),
+        window=max(_integral(desc.get("window", DEFAULT_WINDOW), "window must be an integer"),
                    min_window),
         inverted=inverted,
     )
@@ -339,7 +347,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 "system": cfg.system,
                 "oracle": cfg.oracle,
                 "threads": cfg.threads,
-                "window": cfg.window,
                 **cfg.options,
             }
         ),
@@ -374,7 +381,7 @@ def _check_radii(sys, radii):
 
 def _run_chi(cfg: ExperimentConfig):
     rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
-    sys = build_system(cfg.system, cfg.window, max(ns) + 64)
+    sys = build_system(cfg.system, max(ns) + 64)
     _check_radii(sys, rs)
     oracle = build_oracle(cfg.oracle)
     est = estimate_chi(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
@@ -430,7 +437,10 @@ def _run_entropy(cfg: ExperimentConfig):
 
 def _run_brin_katok(cfg: ExperimentConfig):
     opts = dict(cfg.options)
-    sys = build_system(cfg.system, cfg.window, max(opts["n_schedule"]) + 64)
+    if opts["mode"] == "exact_cylinder" and cfg.system["kind"] != "full_shift":
+        raise ConfigInvalid("field 'mode': 'exact_cylinder' needs a full_shift system; "
+                            "the torus runs 'monte_carlo' only")
+    sys = build_system(cfg.system, max(opts["n_schedule"]) + 64)
     oracle = build_oracle(cfg.oracle)
     x = sample_point(sys, oracle, cfg.seed, opts.pop("point_index"))
     flags = []
@@ -480,7 +490,7 @@ def _brin_katok_headline(p):
 def _run_partition_build(cfg: ExperimentConfig):
     opts = cfg.options
     horizon = opts["horizon"]
-    sys = build_system(cfg.system, cfg.window, 8 * (opts["depth"] + horizon))
+    sys = build_system(cfg.system, 8 * (opts["depth"] + horizon))
     oracle = build_oracle(cfg.oracle)
     try:
         plan = construct_subordinate_partition(
@@ -552,7 +562,7 @@ def _run_smb_check(cfg: ExperimentConfig):
     if opts["shift_k"] is not None and opts["shift_k"] >= ns[0]:
         raise ConfigInvalid(f"field 'shift_k': must be below every n_schedule entry, "
                             f"got {opts['shift_k']} with n_schedule {ns!r}")
-    sys = build_system(cfg.system, cfg.window, max(ns) + 64)
+    sys = build_system(cfg.system, max(ns) + 64)
     oracle = build_oracle(cfg.oracle)
     x = sample_point(sys, oracle, cfg.seed, opts["point_index"])
     rep = local_smb_check(
@@ -593,7 +603,7 @@ def _smb_check_headline(p):
 
 def _run_dimension(cfg: ExperimentConfig):
     opts = cfg.options
-    sys = build_system(cfg.system, cfg.window, 128)
+    sys = build_system(cfg.system, 128)
     oracle = build_oracle(cfg.oracle)
     delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
     scales = opts["scales"]
@@ -636,7 +646,7 @@ def _run_dimension(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig):
-    sys = build_system(cfg.system, cfg.window, 192)
+    sys = build_system(cfg.system, 192)
     if cfg.options["r_schedule"] is not None:
         _check_radii(sys, cfg.options["r_schedule"])
     oracle = build_oracle(cfg.oracle)
@@ -679,9 +689,7 @@ def _verify_headline(p):
 
 def _run_appendix_hilbert(cfg: ExperimentConfig):
     opts = cfg.options
-    sys = build_system(cfg.system, cfg.window, 256)
-    if not (isinstance(sys, FullShift) and isinstance(sys.metric, WeightedL2Metric)):
-        raise ConfigInvalid("appendix-hilbert requires a full_shift system with metric 'weighted'")
+    sys = build_system(cfg.system, 256)
     window = sys.window
     oracle = build_oracle(cfg.oracle)
     w = sys.metric.weights
@@ -769,8 +777,10 @@ def _hamming_bounds_table(p):
 # ---------------------------------------------------------------------------
 
 _CAT = {"kind": "toral_automorphism", "matrix": ((2, 1), (1, 1))}
+_TRANSLATION = {"kind": "torus_translation"}
 _DYADIC = {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"}
 _WEIGHTED = {"kind": "full_shift", "alphabet": 2, "metric": "weighted"}
+_SHIFTS = (_DYADIC, _WEIGHTED)
 
 # verify's defaults are those of verify_main_inequality, read from its signature
 _VERIFY_PARAMETERS = inspect.signature(verify_main_inequality).parameters
@@ -784,14 +794,14 @@ _VERIFY_OPTIONS = {
 
 TASKS = {
     "chi": TaskSpec(
-        run=_run_chi, system=_CAT, table=_chi_table,
+        run=_run_chi, systems=(_CAT, _TRANSLATION, *_SHIFTS), table=_chi_table,
         options={"r_schedule": ((0.2, 0.1, 0.05), _RADII),
                  "n_schedule": (tuple(range(2, 25, 2)), _LENGTHS),
                  "points": (256, _int(1)), "probes": (128, _int(1))},
         headline=lambda p: f"chi = {p['chi']:.6f} from {p['sample_count']} points",
     ),
     "entropy": TaskSpec(
-        run=_run_entropy, system=_DYADIC,
+        run=_run_entropy, systems=_SHIFTS,
         options={"n": (16, _int(1)), "mode": ("auto", _one_of("auto", "exact", "monte_carlo")),
                  "samples": (200_000, _int(1)), "alpha_window": ((0, 0), _int_window)},
         table=lambda p: (["n", "value", "stderr", "mode"], [[p["n"], p["value"], p["stderr"], p["mode"]]]),
@@ -799,7 +809,7 @@ TASKS = {
                             f"(n = {p['n']})"),
     ),
     "brin-katok": TaskSpec(
-        run=_run_brin_katok, system=_DYADIC,
+        run=_run_brin_katok, systems=(_DYADIC, _CAT),  # the cat map: monte_carlo only
         options={"eps_schedule": ((0.25, 0.0625), _schedule(-1, "eps", "(0, 1]")),
                  "n_schedule": ((10, 20, 30, 40), _LENGTHS),
                  "mode": ("exact_cylinder", _one_of("exact_cylinder", "monte_carlo")),
@@ -808,7 +818,7 @@ TASKS = {
         table=_brin_katok_table, headline=_brin_katok_headline,
     ),
     "partition-build": TaskSpec(
-        run=_run_partition_build, system=_DYADIC, table=_partition_build_table,
+        run=_run_partition_build, systems=_SHIFTS, table=_partition_build_table,
         options={"delta": (0.5, _POSITIVE_REAL), "depth": (3, _int(1)), "past_depth": (8, _int(1)),
                  "k_max": (16, _int(0)), "margin": (0.1, _number("[0, 1)")), "horizon": (50, _int(0)),
                  "pairs": (100, _int(1)), "point_index": (0, _int(0))},
@@ -816,7 +826,7 @@ TASKS = {
                             f"atom violations {p['atom_check']['violations']}"),
     ),
     "smb-check": TaskSpec(
-        run=_run_smb_check, system=_DYADIC, headline=_smb_check_headline,
+        run=_run_smb_check, systems=_SHIFTS, headline=_smb_check_headline,
         # shift_k None skips the dropped-prefix comparison
         options={"n_schedule": ((100, 400, 1000, 4000, 10_000), _LENGTHS),
                  "past_depth": (8, _int(1)), "paths": (200, _int(1)), "point_index": (0, _int(0)),
@@ -824,7 +834,7 @@ TASKS = {
         table=lambda p: (["n", "mean_ratio"], [[n, v] for n, v in zip(p["n_schedule"], p["mean_per_n"])]),
     ),
     "dimension": TaskSpec(
-        run=_run_dimension, system=_CAT,
+        run=_run_dimension, systems=(_CAT, *_SHIFTS),
         options={"delta": (None, _nullable(_POSITIVE_REAL)), "scales": (None, _nullable(_RADII)),
                  "back_horizon": (40, _int(0)), "cloud_budget": (10_000, _int(100)),
                  "point_index": (0, _int(0)), "admission_tolerance": (None, _nullable(_POSITIVE_REAL))},
@@ -833,11 +843,11 @@ TASKS = {
         headline=lambda p: f"box slope {p['slope']:.4f} from {p['admitted']} admitted points",
     ),
     "verify": TaskSpec(
-        run=_run_verify, system=_CAT, table=_verify_table, headline=_verify_headline,
+        run=_run_verify, systems=(_CAT, *_SHIFTS), table=_verify_table, headline=_verify_headline,
         options={k: (_VERIFY_PARAMETERS[k].default, t) for k, t in _VERIFY_OPTIONS.items()},
     ),
     "appendix-hilbert": TaskSpec(
-        run=_run_appendix_hilbert, system=_WEIGHTED,
+        run=_run_appendix_hilbert, systems=(_WEIGHTED,),
         options={"norm_ks": ((25, 50, 75, 100, 125, 150, 175, 200),
                              _schedule(1, "k", "[1, inf)", integers=True)),
                  "n_schedule": ((8, 16, 32, 64, 128), _LENGTHS),
@@ -850,7 +860,8 @@ TASKS = {
                             f"cover increasing = {p['cover']['strictly_increasing']}"),
     ),
     "hamming-bounds": TaskSpec(
-        run=_run_hamming_bounds, system=_DYADIC, table=_hamming_bounds_table,
+        run=_run_hamming_bounds, table=_hamming_bounds_table,
+        systems=(_DYADIC, _CAT, _TRANSLATION, _WEIGHTED),  # it reads no system, so it takes any
         # the counting constant needs 0 < 2 sqrt(eps) < 1
         options={"eps": (0.04, _number("(0, 0.25)")), "alphabet": (2, _int(2)),
                  "n_values": (tuple(range(12, 31)), _LENGTHS)},

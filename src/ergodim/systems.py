@@ -184,6 +184,10 @@ class TorusTranslation(SystemDescriptor):
             int(round(self.shift[1] * FIXED_DENOM)) % FIXED_DENOM,
         )
 
+    def as_array(self) -> np.ndarray:
+        """The linear part of the translation: the identity."""
+        return np.eye(2)
+
 
 class ShiftMetric:
     """Marker base for the metric choice of a full shift."""

@@ -105,7 +105,7 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
         ),
         (
             {"task": "appendix-hilbert", "seed": 0, "system": {"kind": "toral_automorphism"}},
-            "appendix-hilbert requires a full_shift system with metric 'weighted'",
+            "field 'system': task 'appendix-hilbert' runs on full_shift/weighted, got toral_automorphism",
         ),
         (
             {"task": "smb-check", "seed": 0, "n_schedule": [2, 4], "paths": 4, "shift_k": 3},
@@ -141,13 +141,26 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "partition-build", "seed": 0, "system": {"kind": "full_shift", "metric": "weighted"}},
             "field 'delta': diam(beta_1) = 1.07",
         ),
+        (
+            {"task": "brin-katok", "seed": 0, "system": {"kind": "toral_automorphism"}},
+            "field 'mode': 'exact_cylinder' needs a full_shift system",
+        ),
+        (
+            {"task": "partition-build", "seed": 0, "system": {"kind": "toral_automorphism"}},
+            "field 'system': task 'partition-build' runs on full_shift/dyadic, full_shift/weighted",
+        ),
+        (
+            {"task": "smb-check", "seed": 0, "system": {"kind": "toral_automorphism"}},
+            "field 'system': task 'smb-check' runs on full_shift/dyadic, full_shift/weighted",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):
     cfg = config_file(doc)
     rc = main([doc["task"], "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

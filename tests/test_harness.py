@@ -16,6 +16,7 @@ from ergodim.errors import ConfigInvalid, TaskFailed
 from ergodim.harness import (
     TASKS,
     ExperimentConfig,
+    Report,
     build_oracle,
     build_system,
     emit_report,
@@ -44,7 +45,7 @@ TINY_CONFIGS = {
 
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMON_KEYS = {"task", "seed", "system", "oracle", "threads", "window"}
+COMMON_KEYS = {"task", "seed", "system", "oracle", "threads"}
 
 
 def run(raw):
@@ -85,7 +86,8 @@ def test_seed_is_required_and_checked():
         ExperimentConfig.from_dict({"task": "chi", "seed": -1})
     with pytest.raises(ConfigInvalid, match="threads"):
         ExperimentConfig.from_dict({"task": "chi", "seed": 0, "threads": 0})
-    with pytest.raises(ConfigInvalid, match="window"):
+    # the window is the system's: a top-level window is an unknown key
+    with pytest.raises(ConfigInvalid, match=r"unknown key\(s\) for task 'entropy': window"):
         ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "window": 4})
 
 
@@ -123,7 +125,7 @@ def test_schedule_direction_validation():
         ({"task": "hamming-bounds", "seed": True}, "seed"),
         ({"task": "hamming-bounds", "seed": False}, "seed"),
         ({"task": "chi", "seed": 0, "threads": True}, "threads"),
-        ({"task": "entropy", "seed": 0, "window": True}, "window"),
+        ({"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": True}}, "system"),
         ({"task": "chi", "seed": 0, "points": True}, "points"),
         ({"task": "chi", "seed": 0, "probes": True}, "probes"),
         ({"task": "entropy", "seed": 0, "samples": True}, "samples"),
@@ -312,6 +314,10 @@ def test_malformed_schedules_rejected(task, field, value):
             {"task": "partition-build", "seed": 0, "system": {"kind": "full_shift", "metric": "weighted"}},
             r"field 'delta': diam\(beta_1\) = 1.07\d* exceeds delta = 0.5",
         ),
+        (
+            {"task": "brin-katok", "seed": 0, "system": {"kind": "toral_automorphism"}},
+            "field 'mode': 'exact_cylinder' needs a full_shift system",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):
@@ -368,7 +374,7 @@ def test_from_dict_fuzz(data):
     """Every input ends as ConfigInvalid or as a config whose options all pass their types."""
     task = data.draw(st.sampled_from(sorted(TASKS)))
     spec = TASKS[task]
-    defaults = {"seed": 0, "threads": 1, "window": None, **{k: d for k, (d, _) in spec.options.items()}}
+    defaults = {"seed": 0, "threads": 1, **{k: d for k, (d, _) in spec.options.items()}}
     raw = {"task": task, "seed": data.draw(st.integers(0, 2**63))}
     for name in data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3)):
         raw[name] = data.draw(_like(defaults[name]), label=name)
@@ -391,7 +397,8 @@ def test_build_system_and_oracle():
     sys = build_system({"kind": "full_shift", "metric": "weighted", "window": 64})
     assert isinstance(sys, FullShift) and isinstance(sys.metric, WeightedL2Metric)
     assert sys.window == 64
-    assert build_system({"kind": "full_shift"}, window=300).window == 300
+    assert build_system({"kind": "full_shift"}).window == 256
+    assert build_system({"kind": "full_shift", "window": 64}, min_window=300).window == 300
     assert isinstance(build_system({"kind": "toral_automorphism"}), ToralAutomorphism)
     with pytest.raises(ConfigInvalid, match="metric"):
         build_system({"kind": "full_shift", "metric": "hamming"})
@@ -479,9 +486,11 @@ def test_dimension_default_scales_below_the_floor_are_a_config_error():
 @pytest.mark.parametrize("system", [{"kind": "toral_automorphism"}, {"kind": "torus_translation"}])
 def test_torus_radii_at_or_below_the_floor_are_a_config_error(task, system):
     # torus probe magnitudes start at the 1e-14 floor, so no probe could be accepted
+    message = r"field 'r_schedule': radius 1e-1[45] lies at or below this system's resolution floor 1e-14"
+    if (task, system["kind"]) == ("verify", "torus_translation"):
+        message = r"field 'system': task 'verify' runs on"  # refused before its radii are read
     for radii in ([1e-15], [0.1, 1e-14]):
-        with pytest.raises(ConfigInvalid, match=r"field 'r_schedule': radius 1e-1[45] lies at or "
-                                                r"below this system's resolution floor 1e-14"):
+        with pytest.raises(ConfigInvalid, match=message):
             run({"task": task, "seed": 0, "system": system, "r_schedule": radii})
 
 
@@ -540,11 +549,18 @@ def test_task_errors_become_task_failed():
         run({"task": "entropy", "seed": 0, "n": 25, "mode": "exact"})
 
 
-def test_config_errors_pass_through():
-    with pytest.raises(ConfigInvalid, match="weighted"):
-        run({"task": "appendix-hilbert", "seed": 0,
-             "system": {"kind": "full_shift", "metric": "dyadic"},
-             "norm_ks": [25, 50], "n_schedule": [2, 4], "points": 8, "probes": 8})
+def test_config_errors_pass_through(monkeypatch):
+    import ergodim.harness as harness
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was rejected")
+
+    monkeypatch.setattr(harness, "sample_point", no_sampling)
+    # a valid config that the runner refuses: exact cylinders exist only on a shift
+    cfg = ExperimentConfig.from_dict({**TINY_CONFIGS["brin-katok"],
+                                      "system": {"kind": "toral_automorphism"}})
+    with pytest.raises(ConfigInvalid, match="field 'mode': 'exact_cylinder' needs a full_shift system"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("shift_k, n_schedule", [(3, [2, 4]), (3, [3, 4]), (8, [4, 8, 16])])
@@ -638,6 +654,47 @@ def test_json_payload_section_reproduces(tmp_path):
     da, db = json.loads(a[0].read_text()), json.loads(b[0].read_text())
     assert da["payload"] == db["payload"]
     assert da["config"] == db["config"]
+
+
+# ---------------------------------------------------------------------------
+# the systems each task runs on
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "toral_automorphism": {"kind": "toral_automorphism"},
+    "torus_translation": {"kind": "torus_translation"},
+    "full_shift/dyadic": {"kind": "full_shift", "metric": "dyadic"},
+    "full_shift/weighted": {"kind": "full_shift", "metric": "weighted"},
+}
+CAT, TRANSLATION, DYADIC, WEIGHTED = FAMILIES
+DECLARED = {
+    "chi": {CAT, TRANSLATION, DYADIC, WEIGHTED},
+    "entropy": {DYADIC, WEIGHTED},
+    "brin-katok": {DYADIC, CAT},
+    "partition-build": {DYADIC, WEIGHTED},
+    "smb-check": {DYADIC, WEIGHTED},
+    "dimension": {CAT, DYADIC, WEIGHTED},
+    "verify": {CAT, DYADIC, WEIGHTED},
+    "appendix-hilbert": {WEIGHTED},
+    "hamming-bounds": {CAT, TRANSLATION, DYADIC, WEIGHTED},  # reads no system
+}
+# what a declared pair needs beyond its TINY_CONFIGS entry
+ON_FAMILY = {
+    ("dimension", WEIGHTED): {"scales": [0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2]},
+    ("partition-build", WEIGHTED): {"delta": 1.2},
+    ("brin-katok", CAT): {"mode": "monte_carlo", "samples": 2000},
+}
+
+
+@pytest.mark.parametrize("task, family", [(t, f) for t in TASKS for f in FAMILIES],
+                         ids=lambda v: v)
+def test_each_task_runs_on_its_declared_systems_only(task, family):
+    raw = {**TINY_CONFIGS[task], **ON_FAMILY.get((task, family), {}), "system": FAMILIES[family]}
+    if family in DECLARED[task]:
+        assert isinstance(run(raw), Report)
+    else:
+        with pytest.raises(ConfigInvalid, match=f"field 'system': task '{task}' runs on .*, got {family}$"):
+            ExperimentConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
