@@ -48,6 +48,7 @@ from .systems import (
     invert,
     one_sided_depth,
     resolution_floor,
+    torus_norm_rows,
 )
 
 __all__ = [
@@ -142,7 +143,6 @@ class DimensionEstimate:
     alt_slope: float | None = None
     liminf_proxy: float | None = None
     per_scale_ratio: list | None = None
-    dropped_scales: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +151,17 @@ class DimensionEstimate:
 
 
 def _unstable_direction(matrix: np.ndarray):
-    """Unit eigenvector of the largest-modulus eigenvalue, sign-normalized."""
+    """The largest eigenvalue modulus and its unit eigenvector, sign-normalized.
+
+    A complex pair (a rotation) has modulus 1, not the 0 of its real part.
+    """
     vals, vecs = np.linalg.eig(matrix.astype(float))
     i = int(np.argmax(np.abs(vals)))
-    lam = float(np.real(vals[i]))
     e = np.real(vecs[:, i])
     e = e / np.linalg.norm(e)
     if e[0] < 0 or (e[0] == 0 and e[1] < 0):
         e = -e
-    return abs(lam), e
+    return float(abs(vals[i])), e
 
 
 def _lattice_ladder(sys: ToralAutomorphism, e_u: np.ndarray, s_max: float):
@@ -247,9 +249,7 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
     first_fail = np.full(len(disp), -1)
     final_d = None
     for i in range(back_horizon + 1):
-        frac = cur / FIXED_DENOM
-        frac -= np.round(frac)
-        d = np.hypot(frac[:, 0], frac[:, 1])
+        d = torus_norm_rows(cur / FIXED_DENOM)
         bad = ok & (d > delta)
         first_fail[bad & (first_fail < 0)] = i
         ok &= d <= delta
@@ -494,7 +494,6 @@ def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEsti
         raise TooFewPoints(f"{n_pts} points is too few for a slope (need >= 100 or exactly 1)")
     floor = resolution_floor(sys) if sys is not None else 0.0
     kept = [s for s in scales if s > floor]
-    dropped = [s for s in scales if s <= floor]
     if len(kept) < 4:
         raise TooFewScales(f"only {len(kept)} scales above the resolution floor {floor}")
     counts = _cloud_box_counts(cloud, sys, kept)
@@ -525,7 +524,6 @@ def box_counting_dimension(cloud: PointCloud, scales, sys=None) -> DimensionEsti
         n_points=n_pts,
         monotone=monotone,
         alt_slope=alt,
-        dropped_scales=dropped,
     )
 
 
@@ -545,7 +543,7 @@ def local_dimension_lower(
 
     The ball masses are exact cylinder measures of a conditional shift oracle
     on a dyadic-metric shift; scales where the ball has zero mass are dropped
-    and reported (fewer than four left -> MassStarvation).
+    (fewer than four left -> MassStarvation).
     """
     scales = sorted(float(s) for s in scales)[::-1]
     if len(scales) < 4:
@@ -558,20 +556,17 @@ def local_dimension_lower(
         raise UnsupportedOracle("exact local mass needs a dyadic-metric shift")
     masses = []
     kept = []
-    dropped = []
     for r in scales:
         rho = dyadic_agreement_radius(r)
         coords = list(range(-rho, rho + 1))
         logm = fixed_coords_log_measure(conditional_oracle, coords, probe_y.coords(coords))
-        if logm == -math.inf:
-            dropped.append(r)
-            continue
-        kept.append(r)
-        masses.append(logm)
+        if logm != -math.inf:
+            kept.append(r)
+            masses.append(logm)
     log_mass = np.array(masses)
     if len(kept) < 4:
         raise MassStarvation(
-            f"only {len(kept)} scales carry mass (dropped {len(dropped)}); need >= 4"
+            f"only {len(kept)} scales carry mass (dropped {len(scales) - len(kept)}); need >= 4"
         )
     log_r = np.log(np.array(kept))
     ratios = log_mass / log_r
@@ -588,7 +583,6 @@ def local_dimension_lower(
         monotone=all(m2 <= m1 for m1, m2 in zip(masses, masses[1:])),
         liminf_proxy=float(tail.min()),
         per_scale_ratio=[float(v) for v in ratios],
-        dropped_scales=dropped,
     )
 
 

@@ -10,7 +10,7 @@ schedule, per radius, evaluated at the smallest reliable radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .measures import (
     fixed_coords_log_measure,
     rng_for,
     sample_symbol_block,
+    shannon_entropy,
     word_distribution,
 )
 from .partitions import CylinderPartition, orbit_join, refine
@@ -38,6 +39,7 @@ from .systems import (
     ToralAutomorphism,
     TorusPoint,
     dyadic_open_depth,
+    torus_norm_rows,
 )
 
 __all__ = [
@@ -69,8 +71,7 @@ class EntropyEstimate:
 
 
 def _dist_entropy(p: np.ndarray) -> float:
-    mask = p > 0.0
-    return max(float(-(p[mask] * np.log(p[mask])).sum()), 0.0)
+    return max(shannon_entropy(p), 0.0)
 
 
 def conditional_entropy(
@@ -165,7 +166,6 @@ def dyadic_agreement_radius(eps: float) -> int:
 class BrinKatokReport:
     lower: EntropyEstimate
     upper: EntropyEstimate
-    eps_schedule: list
     n_schedule: list
     chosen_eps: float
     mode: str
@@ -193,18 +193,7 @@ def _bk_exact_cylinder(sys, oracle, x, eps_schedule, ns):
             if logm == -math.inf:
                 raise ZeroMassAtom(f"Bowen cylinder at n={n}, eps={eps} has measure zero")
             vals.append(-logm / n)
-        half = ns[len(ns) // 2 :]
-        tail = vals[len(ns) // 2 :]
-        per_eps.append(
-            {
-                "eps": eps,
-                "rho": rho,
-                "values": vals,
-                "lower": min(tail),
-                "upper": max(tail),
-                "trailing_n": half,
-            }
-        )
+        per_eps.append(_trailing_range(eps, vals, ns, rho=rho, trailing_n=ns[len(ns) // 2 :]))
     return per_eps
 
 
@@ -238,10 +227,7 @@ def _bk_mc_torus(sys: ToralAutomorphism, x: TorusPoint, eps_schedule, ns, sample
     cur_x = xi.copy()
     n_set = set(ns)
     for k in range(ns[-1]):
-        diff = (cur - cur_x[None, :]) % FIXED_DENOM
-        frac = diff / FIXED_DENOM
-        frac -= np.round(frac)
-        d = np.hypot(frac[:, 0], frac[:, 1])
+        d = torus_norm_rows((cur - cur_x[None, :]) % FIXED_DENOM / FIXED_DENOM)
         run_max = np.maximum(run_max, d)
         if (k + 1) in n_set:
             per_n_max[k + 1] = run_max.copy()
@@ -251,12 +237,16 @@ def _bk_mc_torus(sys: ToralAutomorphism, x: TorusPoint, eps_schedule, ns, sample
             for eps in eps_schedule]
 
 
+def _trailing_range(eps, vals, ns, **extra):
+    """One radius: its values over the n schedule and their min/max over the trailing half."""
+    tail = vals[len(ns) // 2 :]
+    return {"eps": eps, **extra, "values": vals, "lower": min(tail), "upper": max(tail)}
+
+
 def _bk_mc_record(eps, hits, ns, samples, **extra):
     """One radius of a Monte Carlo run: -log(hit frequency) / n and its trailing-half range."""
     vals = [(-math.log(h / samples) / n) if h > 0 else math.inf for h, n in zip(hits, ns)]
-    tail_v, tail_h = vals[len(ns) // 2 :], hits[len(ns) // 2 :]
-    return {"eps": eps, **extra, "values": vals, "hits": hits, "lower": min(tail_v),
-            "upper": max(tail_v), "min_tail_hits": min(tail_h)}
+    return _trailing_range(eps, vals, ns, **extra, hits=hits, min_tail_hits=min(hits[len(ns) // 2 :]))
 
 
 def brin_katok_local(
@@ -323,22 +313,13 @@ def brin_katok_local(
         sample_count=sample_count,
         stderr=stderr,
     )
-    upper = EntropyEstimate(
-        value=chosen["upper"],
-        mode=lower.mode,
-        n_used=ns[-1],
-        sample_count=sample_count,
-        stderr=stderr,
-    )
-    if not lower.value <= upper.value:
-        raise AssertionError("lower proxy exceeded upper proxy")
+    upper = replace(lower, value=chosen["upper"])
     extrap = None
     if mode == "exact_cylinder":
         extrap = extrapolate_intercept(ns, chosen["values"])
     return BrinKatokReport(
         lower=lower,
         upper=upper,
-        eps_schedule=eps_schedule,
         n_schedule=ns,
         chosen_eps=chosen["eps"],
         mode=mode,

@@ -35,6 +35,7 @@ from .systems import (
     iterate,
     open_flip_depth,
     resolution_floor,
+    torus_norm_rows,
 )
 from .measures import child_rngs, rng_for, uniform_symbols
 
@@ -83,14 +84,14 @@ def _torus_ratios_from_draws(sys, r, ns, u):
     A = sys.as_array()
     n_max = max(ns)
     w = v.copy()
-    d0 = _torus_norm_rows(v)
+    d0 = torus_norm_rows(v)
     run_max = d0.copy()  # max_{0<=k<=j} d_k, starting at k=0
     accepted = np.zeros((len(u), len(ns)), dtype=bool)
     ratios = np.zeros((len(u), len(ns)))
     col = {n: j for j, n in enumerate(ns)}
     for k in range(1, n_max + 1):
         w = w @ A.T
-        dk = _torus_norm_rows(w)
+        dk = torus_norm_rows(w)
         if k in col:
             j = col[k]
             ok = (run_max < r) & (d0 > 0.0)  # Bowen membership uses k <= n-1
@@ -99,12 +100,6 @@ def _torus_ratios_from_draws(sys, r, ns, u):
                 ratios[:, j] = np.where(ok, dk / d0, 0.0)
         run_max = np.maximum(run_max, dk)
     return accepted, ratios
-
-
-def _torus_norm_rows(v: np.ndarray) -> np.ndarray:
-    """Torus norm (min over the 9 lattice translates) of each displacement row."""
-    frac = v - np.round(v)  # nearest-integer reduction = min translate per axis
-    return np.hypot(frac[:, 0], frac[:, 1])
 
 
 # probe cells (rows x window width) per vector pass of the batched shift route:
@@ -314,19 +309,12 @@ def lipschitz_table(
 @dataclass
 class InclusionRecord:
     n: int
-    radius: float
-    tested: int
     violations: int
     underflow: bool
-    witness: object = None  # displacement or probe description of the first violation
 
 
 @dataclass
 class InclusionReport:
-    eta: float
-    lam: float
-    eps: float
-    n_max: int
     records: list
     holds_from_n: int | None
     first_failure: tuple | None
@@ -372,7 +360,7 @@ def check_ball_inclusion(
                 )
             if underflow_from is None:
                 underflow_from = n
-            records.append(InclusionRecord(n, radius, 0, 0, True))
+            records.append(InclusionRecord(n, 0, True))
             continue
         tested_up_to = n
         rng = rng_for(seed, n)
@@ -380,8 +368,7 @@ def check_ball_inclusion(
             violations, witness = _torus_inclusion_sample(sys, radius, eps, n, probes_per_n, rng)
         else:
             violations, witness = _shift_inclusion_sample(sys, x, radius, eps, n, probes_per_n, rng)
-        rec = InclusionRecord(n, radius, probes_per_n, violations, False, witness)
-        records.append(rec)
+        records.append(InclusionRecord(n, violations, False))
         if violations and first_failure is None:
             first_failure = (n, witness)
 
@@ -392,10 +379,6 @@ def check_ball_inclusion(
             holds_from = n
             break
     return InclusionReport(
-        eta=eta,
-        lam=lam,
-        eps=eps,
-        n_max=n_max,
         records=records,
         holds_from_n=holds_from,
         first_failure=first_failure,
@@ -411,10 +394,10 @@ def _torus_inclusion_sample(sys, radius, eps, n, probes, rng):
     angles = 2.0 * math.pi * u[:, 1]
     v = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
     w = v.copy()
-    worst = _torus_norm_rows(w)
+    worst = torus_norm_rows(w)
     for _ in range(1, n):
         w = w @ A.T
-        worst = np.maximum(worst, _torus_norm_rows(w))
+        worst = np.maximum(worst, torus_norm_rows(w))
     bad = worst >= eps
     witness = None
     if bad.any():

@@ -19,7 +19,7 @@ import math
 import operator
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -201,21 +201,15 @@ class ExperimentConfig:
         seed, threads = (options.pop(key) for key in _COMMON_OPTIONS)
         system = raw.get("system", dict(TASKS[task].systems[0]))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
-        oracle = raw.get("oracle", _default_oracle(system))
+        sys = _built("system", build_system, system)
+        oracle = raw.get("oracle", _default_oracle(sys))
         _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
-        # build both once, so constructor errors surface here as config errors
-        for label, build in (
-            ("system", lambda: build_system(system)),
-            ("oracle", lambda: build_oracle(oracle)),
-        ):
-            try:
-                build()
-            except (TypeError, ValueError, NonInvertible) as exc:
-                raise ConfigInvalid(f"field '{label}': {exc}") from exc
+        measure = _built("oracle", build_oracle, oracle)
         families = [_family(desc) for desc in TASKS[task].systems]
         if _family(system) not in families:
             raise ConfigInvalid(f"field 'system': task {task!r} runs on {', '.join(families)}, "
                                 f"got {_family(system)}")
+        _check_oracle(sys, measure)
         return ExperimentConfig(task=task, seed=seed, system=system, oracle=oracle,
                                 options=options, threads=threads)
 
@@ -226,10 +220,30 @@ def _family(desc: dict) -> str:
     return f"{kind}/{desc.get('metric', 'dyadic')}" if kind == "full_shift" else kind
 
 
-def _default_oracle(system: dict) -> dict:
-    if system.get("kind") in ("toral_automorphism", "torus_translation"):
-        return {"kind": "lebesgue"}
-    return {"kind": "bernoulli", "probs": [0.5, 0.5]}
+def _built(label: str, build: Callable, desc: dict):
+    """``build(desc)``, with a constructor's error raised as a config error."""
+    try:
+        return build(desc)
+    except (TypeError, ValueError, NonInvertible) as exc:
+        raise ConfigInvalid(f"field '{label}': {exc}") from exc
+
+
+def _default_oracle(sys) -> dict:
+    """Lebesgue on the torus; on a shift, the uniform Bernoulli oracle over its alphabet."""
+    if isinstance(sys, FullShift):
+        return {"kind": "bernoulli", "probs": [1.0 / sys.alphabet_size] * sys.alphabet_size}
+    return {"kind": "lebesgue"}
+
+
+def _check_oracle(sys, oracle):
+    """Refuse an oracle that cannot serve the system: the torus takes Lebesgue only, and a
+    shift takes a Bernoulli or Markov oracle over its own alphabet."""
+    if isinstance(sys, FullShift) == isinstance(oracle, LebesgueTorus):
+        raise ConfigInvalid(f"field 'oracle': a {type(oracle).__name__} oracle cannot serve "
+                            f"a {type(sys).__name__} system")
+    if isinstance(sys, FullShift) and oracle.alphabet_size != sys.alphabet_size:
+        raise ConfigInvalid(f"field 'oracle': it has {oracle.alphabet_size} symbols, but the "
+                            f"system's alphabet has {sys.alphabet_size}")
 
 
 def _validate_descriptor(desc, table, label):
@@ -379,6 +393,22 @@ def _check_radii(sys, radii):
                             f"resolution floor {floor:.6g}")
 
 
+def _check_hyperbolic(sys):
+    """Reject a toral matrix without an expanding direction, before any sampling.
+
+    With det 1 the map is hyperbolic iff |trace| > 2, with det -1 iff trace != 0;
+    otherwise there is no unstable line to sample and log(lambda) is not the entropy.
+    """
+    if not isinstance(sys, ToralAutomorphism):
+        return
+    trace = sys.matrix[0][0] + sys.matrix[1][1]
+    hyperbolic = abs(trace) > 2 if sys.det == 1 else trace != 0
+    if not hyperbolic:
+        raise ConfigInvalid(f"field 'system.matrix': {[list(row) for row in sys.matrix]} is not "
+                            f"hyperbolic (trace {trace}, det {sys.det}); this task needs "
+                            f"|trace| > 2 at det 1 or trace != 0 at det -1")
+
+
 def _run_chi(cfg: ExperimentConfig):
     rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
     sys = build_system(cfg.system, max(ns) + 64)
@@ -418,7 +448,7 @@ def _run_entropy(cfg: ExperimentConfig):
     opts = cfg.options
     oracle = build_oracle(cfg.oracle)
     lo, hi = opts["alpha_window"]
-    alpha = cylinder_window(lo, hi, getattr(oracle, "alphabet_size", 2))
+    alpha = cylinder_window(lo, hi, oracle.alphabet_size)
     est = block_entropy_rate(
         oracle, alpha, opts["n"],
         mode=opts["mode"],
@@ -580,16 +610,7 @@ def _run_smb_check(cfg: ExperimentConfig):
         "paths": rep.paths,
     }
     if opts["shift_k"] is not None:
-        lemma = shift_lemma_check(oracle, x, opts["shift_k"], ns)
-        payload["shift_lemma"] = {
-            "k": lemma.k,
-            "base_values": lemma.base_values,
-            "shifted_values": lemma.shifted_values,
-            "trailing_base": lemma.trailing_base,
-            "trailing_shifted": lemma.trailing_shifted,
-            "rel_gap": lemma.rel_gap,
-            "length_factors": lemma.length_factors,
-        }
+        payload["shift_lemma"] = asdict(shift_lemma_check(oracle, x, opts["shift_k"], ns))
     params = {"past_depth": rep.past_depth, "past_convention": "strict past -P..-1"}
     return payload, params, []
 
@@ -604,6 +625,7 @@ def _smb_check_headline(p):
 def _run_dimension(cfg: ExperimentConfig):
     opts = cfg.options
     sys = build_system(cfg.system, 128)
+    _check_hyperbolic(sys)
     oracle = build_oracle(cfg.oracle)
     delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
     scales = opts["scales"]
@@ -647,6 +669,7 @@ def _run_dimension(cfg: ExperimentConfig):
 
 def _run_verify(cfg: ExperimentConfig):
     sys = build_system(cfg.system, 192)
+    _check_hyperbolic(sys)
     if cfg.options["r_schedule"] is not None:
         _check_radii(sys, cfg.options["r_schedule"])
     oracle = build_oracle(cfg.oracle)
@@ -889,16 +912,7 @@ def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
     written = []
     if "json" in formats:
         path = out / f"{report.task}.json"
-        doc = {
-            "schema_version": report.schema_version,
-            "task": report.task,
-            "config": report.config,
-            "parameters": report.parameters,
-            "payload": report.payload,
-            "flags": report.flags,
-            "meta": report.meta,
-        }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
         written.append(path)
     if "csv" in formats:
         header, rows = TASKS[report.task].table(report.payload)

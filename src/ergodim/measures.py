@@ -37,6 +37,8 @@ __all__ = [
     "MarkovStationary",
     "ConditionalShiftOracle",
     "stationary_distribution",
+    "shannon_entropy",
+    "transition_entropy",
     "entropy_rate",
     "marginal_entropy",
     "rng_for",
@@ -342,17 +344,25 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
+def shannon_entropy(p: np.ndarray) -> float:
+    """-sum p log p over the positive entries of a probability vector, in nats."""
+    pos = p[p > 0.0]
+    return float(-np.sum(pos * np.log(pos)))
+
+
+def transition_entropy(pi: np.ndarray, P: np.ndarray) -> float:
+    """-sum_i pi_i sum_j P_ij log P_ij: the entropy of one step of kernel P from law pi."""
+    mask = P > 0.0
+    terms = np.where(mask, P * np.log(np.where(mask, P, 1.0)), 0.0)
+    return float(-(pi[:, None] * terms).sum())
+
+
 def entropy_rate(oracle: MeasureOracle) -> float:
     """Closed-form entropy rate (nats per step) of a symbolic oracle."""
     if isinstance(oracle, BernoulliIID):
-        p = oracle.p
-        return float(-np.sum(p[p > 0.0] * np.log(p[p > 0.0])))
+        return shannon_entropy(oracle.p)
     if isinstance(oracle, MarkovStationary):
-        P = oracle.P
-        pi = oracle.pi_vec
-        mask = P > 0.0
-        terms = np.where(mask, P * np.log(np.where(mask, P, 1.0)), 0.0)
-        return float(-(pi[:, None] * terms).sum())
+        return transition_entropy(oracle.pi_vec, oracle.P)
     if isinstance(oracle, ConditionalShiftOracle):
         return entropy_rate(oracle.base)
     raise UnsupportedOracle(f"no closed-form entropy rate for {type(oracle).__name__}")
@@ -363,9 +373,7 @@ def marginal_entropy(oracle: MeasureOracle) -> float:
     if isinstance(oracle, BernoulliIID):
         return entropy_rate(oracle)
     if isinstance(oracle, MarkovStationary):
-        pi = oracle.pi_vec
-        pos = pi[pi > 0.0]
-        return float(-np.sum(pos * np.log(pos)))
+        return shannon_entropy(oracle.pi_vec)
     raise UnsupportedOracle(f"no marginal entropy for {type(oracle).__name__}")
 
 
@@ -388,6 +396,18 @@ def _markov_walk(cum: np.ndarray, state: int, u: np.ndarray) -> list:
     return path
 
 
+def _walk_outward(chain: MarkovStationary, out: np.ndarray, lo: int, hi: int, u) -> np.ndarray:
+    """Fill ``out`` right of position hi by the chain and left of lo by its backward kernel.
+
+    Each walk starts from the state already stored at hi (lo); ``u`` holds the
+    uniforms of positions hi+1, hi+2, ... and then lo-1, lo-2, ..., 0.
+    """
+    ahead = len(out) - 1 - hi
+    out[hi + 1 :] = _markov_walk(np.cumsum(chain.P, axis=1), int(out[hi]), u[:ahead])
+    out[:lo] = _markov_walk(np.cumsum(chain.backward(), axis=1), int(out[lo]), u[ahead:])[::-1]
+    return out
+
+
 def _sample_markov_window(oracle: MarkovStationary, window: int, rng) -> np.ndarray:
     """Window -N..N of a stationary two-sided chain: forward from 0, backward kernel below.
 
@@ -395,22 +415,17 @@ def _sample_markov_window(oracle: MarkovStationary, window: int, rng) -> np.ndar
     """
     u = rng.random(2 * window + 1)
     out = np.empty(2 * window + 1, dtype=np.int8)
-    start = int(np.searchsorted(np.cumsum(oracle.pi_vec), u[0], side="right"))
-    out[window] = start
-    out[window + 1 :] = _markov_walk(np.cumsum(oracle.P, axis=1), start, u[1 : window + 1])
-    out[:window] = _markov_walk(np.cumsum(oracle.backward(), axis=1), start, u[window + 1 :])[::-1]
-    return out
+    out[window] = np.searchsorted(np.cumsum(oracle.pi_vec), u[0], side="right")
+    return _walk_outward(oracle, out, window, window, u[1:])
 
 
 def _sample_shift_window(sys: FullShift, oracle: MeasureOracle, rng) -> np.ndarray:
     N = sys.window
+    if isinstance(oracle, (BernoulliIID, MarkovStationary)) and oracle.alphabet_size != sys.alphabet_size:
+        raise IncompatibleOracle("oracle alphabet does not match system alphabet")
     if isinstance(oracle, BernoulliIID):
-        if oracle.alphabet_size != sys.alphabet_size:
-            raise IncompatibleOracle("oracle alphabet does not match system alphabet")
         return rng.choice(oracle.alphabet_size, size=2 * N + 1, p=oracle.p).astype(np.int8)
     if isinstance(oracle, MarkovStationary):
-        if oracle.alphabet_size != sys.alphabet_size:
-            raise IncompatibleOracle("oracle alphabet does not match system alphabet")
         return _sample_markov_window(oracle, N, rng)
     if isinstance(oracle, ConditionalShiftOracle):
         return _sample_conditional_window(sys, oracle, rng)
@@ -423,23 +438,18 @@ def _sample_conditional_window(sys: FullShift, oracle: ConditionalShiftOracle, r
     if lo_f < -N or hi_f > N:
         raise IncompatibleOracle("conditioning block exceeds the system window")
     base = oracle.base
-    out = np.empty(2 * N + 1, dtype=np.int8)
     if isinstance(base, BernoulliIID):
-        out[:] = rng.choice(base.alphabet_size, size=2 * N + 1, p=base.p).astype(np.int8)
+        out = _sample_shift_window(sys, base, rng)  # iid: the block only overwrites its coordinates
     elif isinstance(base, MarkovStationary):
-        # seed the fixed block, then run the chain outward from its two ends:
-        # uniforms for coordinates hi_f+1..N first, then lo_f-1..-N
-        for i in range(lo_f, hi_f + 1):
-            out[i + N] = oracle.fixed[i]
-        u = rng.random(2 * N - hi_f + lo_f)
-        ahead = N - hi_f
-        out[hi_f + 1 + N :] = _markov_walk(np.cumsum(base.P, axis=1), int(out[hi_f + N]), u[:ahead])
-        out[: lo_f + N] = _markov_walk(np.cumsum(base.backward(), axis=1), int(out[lo_f + N]), u[ahead:])[::-1]
-        return out
+        out = np.empty(2 * N + 1, dtype=np.int8)
     else:
         raise IncompatibleOracle(f"cannot sample conditional of {type(base).__name__}")
     for i in range(lo_f, hi_f + 1):
         out[i + N] = oracle.fixed[i]
+    if isinstance(base, MarkovStationary):
+        # the chain runs outward from the block's two ends: uniforms for
+        # coordinates hi_f+1..N first, then lo_f-1..-N
+        _walk_outward(base, out, lo_f + N, hi_f + N, rng.random(2 * N - hi_f + lo_f))
     return out
 
 
@@ -473,16 +483,19 @@ def sample_points(sys, oracle, master_seed: int, count: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _constraints(indices, symbols):
+def _constraints(oracle: MeasureOracle, indices, symbols):
     """(indices, symbols) sorted by index with repeated indices merged.
 
     Returns None when one index is fixed to two different symbols (a
-    measure-zero constraint).
+    measure-zero constraint).  Symbols must lie in the oracle's alphabet.
     """
     idx = [int(i) for i in indices]
     syms = [int(s) for s in symbols]
     if len(idx) != len(syms):
         raise LengthMismatch(f"{len(idx)} indices vs {len(syms)} symbols")
+    alphabet = getattr(oracle, "alphabet_size", None)
+    if alphabet is not None and syms and (min(syms) < 0 or max(syms) >= alphabet):
+        raise ValueError("symbol outside the oracle alphabet")
     fixed = {}
     for i, s in zip(idx, syms):
         if fixed.setdefault(i, s) != s:
@@ -493,30 +506,22 @@ def _constraints(indices, symbols):
 
 def fixed_coords_measure(oracle: MeasureOracle, indices, symbols) -> float:
     """Measure of {x : x_i = s_i for each fixed coordinate}."""
-    constraints = _constraints(indices, symbols)
+    constraints = _constraints(oracle, indices, symbols)
     if constraints is None:
         return 0.0
     idx, syms = constraints
     if not idx:
         return 1.0
     if isinstance(oracle, BernoulliIID):
-        p = oracle.p
-        if max(syms) >= p.size or min(syms) < 0:
-            raise ValueError("symbol outside the oracle alphabet")
-        return float(np.prod(p[syms]))
+        return float(np.prod(oracle.p[syms]))
     if isinstance(oracle, MarkovStationary):
-        a = oracle.alphabet_size
-        if max(syms) >= a or min(syms) < 0:
-            raise ValueError("symbol outside the oracle alphabet")
         m = oracle.pi_vec[syms[0]]
         for j in range(len(idx) - 1):
             gap = idx[j + 1] - idx[j]
             m *= oracle.power(gap)[syms[j], syms[j + 1]]
         return float(m)
     if isinstance(oracle, ConditionalShiftOracle):
-        f_idx = sorted(oracle.fixed)
-        f_syms = [oracle.fixed[i] for i in f_idx]
-        joint = fixed_coords_measure(oracle.base, f_idx + idx, f_syms + syms)
+        joint = fixed_coords_measure(oracle.base, [*oracle.fixed, *idx], [*oracle.fixed.values(), *syms])
         return joint / oracle._block_mass
     raise UnsupportedOracle(f"{type(oracle).__name__} has no exact cylinder measures")
 
@@ -526,7 +531,7 @@ def fixed_coords_log_measure(oracle: MeasureOracle, indices, symbols) -> float:
 
     Returns -inf for measure-zero constraints.
     """
-    constraints = _constraints(indices, symbols)
+    constraints = _constraints(oracle, indices, symbols)
     if constraints is None:
         return -math.inf
     idx, syms = constraints
@@ -552,9 +557,7 @@ def fixed_coords_log_measure(oracle: MeasureOracle, indices, symbols) -> float:
             total += math.log(entry)
         return total
     if isinstance(oracle, ConditionalShiftOracle):
-        f_idx = sorted(oracle.fixed)
-        f_syms = [oracle.fixed[i] for i in f_idx]
-        joint = fixed_coords_log_measure(oracle.base, f_idx + idx, f_syms + syms)
+        joint = fixed_coords_log_measure(oracle.base, [*oracle.fixed, *idx], [*oracle.fixed.values(), *syms])
         return joint - math.log(oracle._block_mass)
     raise UnsupportedOracle(f"{type(oracle).__name__} has no exact cylinder measures")
 

@@ -40,6 +40,7 @@ from .measures import (
     marginal_entropy,
     rng_for,
     sample_symbol_block,
+    transition_entropy,
     uniform_symbols,
 )
 from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric
@@ -143,10 +144,7 @@ def past_join(a: CylinderPartition, past_depth: int) -> CylinderPartition:
     """The depth-P past join_{1 <= n <= P} T^n a (coordinates shift by -n)."""
     if past_depth < 1:
         raise ValueError("past_depth must be >= 1")
-    coords = set()
-    for n in range(1, past_depth + 1):
-        coords.update(c - n for c in a.coords)
-    return CylinderPartition(tuple(sorted(coords)), a.alphabet)
+    return orbit_join(a, -past_depth, -1)
 
 
 def coord_entropy(oracle, coords) -> float:
@@ -164,12 +162,8 @@ def coord_entropy(oracle, coords) -> float:
         return len(cs) * entropy_rate(oracle)
     if isinstance(oracle, MarkovStationary):
         total = marginal_entropy(oracle)
-        pi = oracle.pi_vec
         for a, b in zip(cs, cs[1:]):
-            Pg = oracle.power(b - a)
-            mask = Pg > 0.0
-            terms = np.where(mask, Pg * np.log(np.where(mask, Pg, 1.0)), 0.0)
-            total += float(-(pi[:, None] * terms).sum())
+            total += transition_entropy(oracle.pi_vec, oracle.power(b - a))
         return total
     raise UnsupportedOracle(f"no coordinate-set entropy for {type(oracle).__name__}")
 
@@ -261,18 +255,6 @@ def construct_subordinate_partition(
             )
         ks.append(chosen[0])
         alphas.append(chosen[1])
-
-    # final re-assertion of the gap inequality along the built chain
-    for q in range(2, depth + 1):
-        past_prev = past_join(alphas[q - 2], past_depth).coords
-        past_q = past_join(alphas[q - 1], past_depth).coords
-        for p in range(1, q):
-            gap = _cond_coord_entropy(oracle, alphas[p - 1], past_prev) - _cond_coord_entropy(
-                oracle, alphas[p - 1], past_q
-            )
-            rhs = 1.0 / (p * 2.0 ** (q - p))
-            if gap > rhs * (1.0 - margin) + 1e-12:
-                raise AssertionError("gap inequality violated on the final chain")
 
     full_past = past_join(alphas[-1], past_depth).coords
     half_past = past_join(alphas[-1], max(1, past_depth // 2)).coords
@@ -498,7 +480,6 @@ def local_smb_check(
 @dataclass
 class ShiftLemmaReport:
     k: int
-    n_schedule: list
     base_values: list  # -log mu(block 0..n of x) / n
     shifted_values: list  # -log mu(block k..n of x) / n
     trailing_base: float
@@ -531,7 +512,6 @@ def shift_lemma_check(oracle, x: SymbolicPoint, k: int, n_schedule) -> ShiftLemm
     rel = abs(tb - ts) / tb if tb > 0 else abs(tb - ts)
     return ShiftLemmaReport(
         k=k,
-        n_schedule=ns,
         base_values=base,
         shifted_values=shifted,
         trailing_base=tb,
@@ -568,7 +548,6 @@ def _stationary_block_log_mass(oracle, syms: np.ndarray):
 
 @dataclass(frozen=True)
 class DeltaConstant:
-    eps: float
     alphabet: int
     value: float
 
@@ -585,14 +564,13 @@ def delta_constant(eps: float, alphabet: int) -> DeltaConstant:
     if not (0.0 < s < 1.0):
         raise EpsOutOfRange(f"need 0 < 2 sqrt(eps) < 1, got {s}")
     value = s * math.log(alphabet - 1) - s * math.log(s) - (1.0 - s) * math.log(1.0 - s)
-    return DeltaConstant(eps=eps, alphabet=alphabet, value=value)
+    return DeltaConstant(alphabet=alphabet, value=value)
 
 
 @dataclass
 class HammingBoundReport:
     n: int
     alphabet: int
-    eps: float
     m: int
     open_ball_count: int  # exact count of words within open radius 2 sqrt(eps)
     closed_sum: int  # sum through i = m (the count the crude bound addresses)
@@ -626,7 +604,6 @@ def hamming_ball_bound_check(n: int, alphabet: int, eps: float) -> HammingBoundR
     return HammingBoundReport(
         n=n,
         alphabet=alphabet,
-        eps=eps,
         m=m,
         open_ball_count=open_count,
         closed_sum=closed_sum,

@@ -40,6 +40,7 @@ __all__ = [
     "iterate",
     "distance",
     "torus_displacement_norm",
+    "torus_norm_rows",
     "invert",
     "resolution_floor",
     "weighted_tail_bound",
@@ -350,6 +351,12 @@ def torus_displacement_norm(dx: float, dy: float) -> float:
         if d < best:
             best = d
     return math.sqrt(best)
+
+
+def torus_norm_rows(v: np.ndarray) -> np.ndarray:
+    """Torus norm (min over the 9 lattice translates) of each displacement row."""
+    frac = v - np.round(v)  # nearest-integer reduction = min translate per axis
+    return np.hypot(frac[:, 0], frac[:, 1])
 
 
 def _dyadic_distance(x: SymbolicPoint, y: SymbolicPoint) -> float:

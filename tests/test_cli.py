@@ -153,6 +153,29 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
             {"task": "smb-check", "seed": 0, "system": {"kind": "toral_automorphism"}},
             "field 'system': task 'smb-check' runs on full_shift/dyadic, full_shift/weighted",
         ),
+        (
+            {"task": "verify", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[0, 1], [-1, 0]]}},
+            "field 'system.matrix': [[0, 1], [-1, 0]] is not hyperbolic (trace 0, det 1)",
+        ),
+        (
+            {"task": "dimension", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[1, 1], [0, 1]]}},
+            "field 'system.matrix': [[1, 1], [0, 1]] is not hyperbolic (trace 2, det 1)",
+        ),
+        (
+            {"task": "chi", "seed": 0, "system": {"kind": "full_shift"}, "oracle": {"kind": "lebesgue"}},
+            "field 'oracle': a LebesgueTorus oracle cannot serve a FullShift system",
+        ),
+        (
+            {"task": "chi", "seed": 0, "oracle": {"kind": "bernoulli"}},
+            "field 'oracle': a BernoulliIID oracle cannot serve a ToralAutomorphism system",
+        ),
+        (
+            {"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "alphabet": 3},
+             "oracle": {"kind": "markov"}},
+            "field 'oracle': it has 2 symbols, but the system's alphabet has 3",
+        ),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

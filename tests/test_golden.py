@@ -23,6 +23,9 @@ _MARKOV_SHIFT = {
     "system": {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"},
     "oracle": {"kind": "markov", "transitions": [[0.7, 0.3], [0.4, 0.6]]},
 }
+# Monte Carlo Bowen-ball masses, the route the exact-cylinder default never runs
+_MONTE_CARLO = {"task": "brin-katok", "seed": 0, "mode": "monte_carlo", "samples": 5000,
+                "min_hits": 5, "eps_schedule": [0.5, 0.25], "n_schedule": [1, 2, 3, 4]}
 
 CONFIGS = {
     **TINY_CONFIGS,
@@ -34,6 +37,11 @@ CONFIGS = {
     "verify-markov-shift-backward": {"task": "verify", "seed": 0, "direction": "backward",
                                      "base_points": 4, "chi_points": 32, "chi_probes": 48,
                                      "cloud_budget": 4000, **_MARKOV_SHIFT},
+    # coord_entropy's Markov chain rule, which the Bernoulli default skips
+    "partition-build-markov": {**TINY_CONFIGS["partition-build"], **_MARKOV_SHIFT},
+    "brin-katok-monte-carlo-cat": {**_MONTE_CARLO,
+                                   "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]]}},
+    "brin-katok-monte-carlo-shift": {**_MONTE_CARLO, "system": _MARKOV_SHIFT["system"]},
 }
 
 

@@ -318,11 +318,93 @@ def test_malformed_schedules_rejected(task, field, value):
             {"task": "brin-katok", "seed": 0, "system": {"kind": "toral_automorphism"}},
             "field 'mode': 'exact_cylinder' needs a full_shift system",
         ),
+        # elliptic and parabolic matrices have no unstable line to sample
+        (
+            {"task": "verify", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[0, 1], [-1, 0]]}},
+            r"field 'system.matrix': \[\[0, 1\], \[-1, 0\]\] is not hyperbolic \(trace 0, det 1\)",
+        ),
+        (
+            {"task": "dimension", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[0, 1], [-1, 0]]}},
+            r"field 'system.matrix': \[\[0, 1\], \[-1, 0\]\] is not hyperbolic",
+        ),
+        (
+            {"task": "verify", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[1, 1], [0, 1]]}},
+            r"field 'system.matrix': \[\[1, 1\], \[0, 1\]\] is not hyperbolic \(trace 2, det 1\)",
+        ),
+        (
+            {"task": "dimension", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[1, 1], [0, 1]]}},
+            r"field 'system.matrix': \[\[1, 1\], \[0, 1\]\] is not hyperbolic",
+        ),
+        (
+            {"task": "verify", "seed": 0,
+             "system": {"kind": "toral_automorphism", "matrix": [[0, 1], [1, 0]]}},
+            r"field 'system.matrix': \[\[0, 1\], \[1, 0\]\] is not hyperbolic \(trace 0, det -1\)",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):
     with pytest.raises(ConfigInvalid, match=message):
         run_experiment(ExperimentConfig.from_dict(raw))
+
+
+def test_non_hyperbolic_matrices_are_refused_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the matrix was checked")
+
+    monkeypatch.setattr("ergodim.harness.sample_point", no_sampling)
+    monkeypatch.setattr("ergodim.harness.verify_main_inequality", no_sampling)
+    for task in ("dimension", "verify"):
+        raw = {"task": task, "seed": 0, "system": {"kind": "toral_automorphism", "matrix": [[1, 1], [0, 1]]}}
+        with pytest.raises(ConfigInvalid, match="not hyperbolic"):
+            run(raw)
+
+
+def test_hyperbolic_reflection_still_runs():
+    # det -1, trace 1: the golden-mean map is hyperbolic
+    rep = run({**TINY_CONFIGS["dimension"], "system": {"kind": "toral_automorphism",
+                                                       "matrix": [[1, 1], [1, 0]]}})
+    assert rep.payload["admitted"] > 1
+
+
+@pytest.mark.parametrize(
+    "system, oracle, message",
+    [
+        ({"kind": "full_shift"}, {"kind": "lebesgue"},
+         "a LebesgueTorus oracle cannot serve a FullShift system"),
+        ({"kind": "full_shift", "metric": "weighted"}, {"kind": "lebesgue"},
+         "a LebesgueTorus oracle cannot serve a FullShift system"),
+        ({"kind": "toral_automorphism"}, {"kind": "bernoulli"},
+         "a BernoulliIID oracle cannot serve a ToralAutomorphism system"),
+        ({"kind": "torus_translation"}, {"kind": "markov"},
+         "a MarkovStationary oracle cannot serve a TorusTranslation system"),
+        ({"kind": "full_shift", "alphabet": 3}, {"kind": "bernoulli", "probs": [0.5, 0.5]},
+         "it has 2 symbols, but the system's alphabet has 3"),
+        ({"kind": "full_shift", "alphabet": 3}, {"kind": "markov"},
+         "it has 2 symbols, but the system's alphabet has 3"),
+        ({"kind": "full_shift"}, {"kind": "bernoulli", "probs": [0.2, 0.3, 0.5]},
+         "it has 3 symbols, but the system's alphabet has 2"),
+    ],
+)
+def test_an_oracle_that_cannot_serve_its_system_is_a_config_error(system, oracle, message):
+    # chi runs on every system family, so only the oracle can be refused here
+    with pytest.raises(ConfigInvalid, match=f"field 'oracle': {message}"):
+        ExperimentConfig.from_dict({"task": "chi", "seed": 0, "system": system, "oracle": oracle})
+
+
+def test_default_shift_oracle_is_uniform_over_the_alphabet():
+    cfg = ExperimentConfig.from_dict({"task": "chi", "seed": 0, "system": {"kind": "full_shift"}})
+    assert cfg.oracle == {"kind": "bernoulli", "probs": [0.5, 0.5]}
+    raw = {**TINY_CONFIGS["chi"], "system": {"kind": "full_shift", "alphabet": 3},
+           "r_schedule": [0.25, 0.125]}
+    rep = run(raw)
+    assert rep.config["oracle"] == {"kind": "bernoulli", "probs": [1 / 3] * 3}
+    assert rep.payload["chi"] == pytest.approx(LOG2, abs=0.05)
+    entropy = run({"task": "entropy", "seed": 0, "n": 4, "system": {"kind": "full_shift", "alphabet": 3}})
+    assert entropy.payload["value"] == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_mode_and_direction_validation():
@@ -760,6 +842,19 @@ def test_run_all_prints_each_headline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "    3 sizes checked, stirling holds for all = True, crude failures []\n" in out
     assert "    rate = 0.693147 vs closed form 0.693147 (n = 8)\n" in out
+
+
+def test_payload_hashes_cover_every_workload_report(capsys):
+    payload_hashes = _load_script("payload_hashes")
+    bench_files = sorted((ROOT / "bench").rglob("*"))
+    assert payload_hashes.main(["--tiny", "--seeds", "0", "--threads", "1", "2"]) == 0
+    assert sorted((ROOT / "bench").rglob("*")) == bench_files  # nothing written under bench/
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    by_threads = {t: [(w, task, d) for w, task, seed, th, d in lines if th == f"threads={t}"]
+                  for t in (1, 2)}
+    assert len(lines) == 22 and len(by_threads[1]) == 11
+    assert by_threads[1] == by_threads[2]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, _, d in by_threads[1])
 
 
 def test_print_report_leaves_quietly_when_the_reader_closes(tmp_path):

@@ -95,6 +95,15 @@ def test_fixed_coords_log_measure_matches_measure(markov, bern_biased):
         assert lm == pytest.approx(math.log(m), rel=1e-13)
 
 
+@pytest.mark.parametrize("symbol", [-1, 2])
+@pytest.mark.parametrize("measure", [fixed_coords_measure, fixed_coords_log_measure])
+def test_symbols_outside_the_alphabet_are_rejected(markov, bern_biased, measure, symbol):
+    # a negative symbol must not index from the end of the probability vector
+    for oracle in (bern_biased, markov):
+        with pytest.raises(ValueError, match="symbol outside the oracle alphabet"):
+            measure(oracle, [0, 1], [1, symbol])
+
+
 def test_word_distribution_additive_over_refinement(bern_biased):
     # summing the length-3 distribution over the last symbol gives length-2
     d3 = word_distribution(bern_biased, [0, 1, 2]).reshape(2, 2, 2)
