@@ -48,6 +48,7 @@ from .systems import (
     invert,
     one_sided_depth,
     resolution_floor,
+    shift_orbit_distances,
     torus_norm_rows,
 )
 
@@ -293,7 +294,7 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     if isinstance(sys.metric, DyadicMetric):
         m_delta = dyadic_depth(delta)
     else:
-        m_delta = one_sided_depth(sys.metric.weights, a, delta, sys.window)
+        m_delta = one_sided_depth(sys.metric.weights, delta, sys.window)
     m_delta = max(m_delta, 1)
     side = 1 if not sys.inverted else -1
     # forward shifts expand futures: vary coordinates >= m_delta; inverted
@@ -321,29 +322,14 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
         var_coords = np.arange(-m_delta - depth + 1, -m_delta + 1)
 
     base_word = np.asarray(x.coords(list(var_coords)), dtype=np.int8)
-    diff = words != base_word[None, :]
-    if isinstance(sys.metric, DyadicMetric):
-        # back-iterates move every varied coordinate one step further from 0
-        # (they never cross it), so the nearest mismatch at back-iterate i sits
-        # at |coordinate| near0 + i and the distance there is 2^-(near0 + i)
-        big = np.where(diff, np.abs(var_coords)[None, :], np.iinfo(np.int64).max)
-        near0 = big.min(axis=1).astype(float)
-        d0 = np.where(near0 < 1e17, 2.0**-near0, 0.0)
-        d_last = np.where(near0 < 1e17, 2.0 ** -(near0 + back_horizon), 0.0)
-        # distances only shrink along the backward orbit: a word that fails
-        # fails at back-iterate 0 already, and d0 <= delta covers every i
-        ok = (d0 <= delta) & (d_last <= tol)
-        tightest = 0
-    else:
-        iis = np.arange(back_horizon + 1)
-        # back-iterates move mismatch coordinates by +i (forward shift) / -i (inverted)
-        shifted = np.abs(var_coords[None, :, None] + side * iis[None, None, :])
-        vals = sys.metric.weights.values(int(shifted.max()))
-        wmat = vals[shifted] * (shifted <= sys.window)
-        dists = np.sqrt((diff[:, :, None] * wmat).sum(axis=1))
-        ok = (dists <= delta).all(axis=1) & (dists[:, -1] <= tol)
-        tightest = int((dists > delta).argmax(axis=1).min())
+    # dyadic distances only shrink along this backward orbit (the varied
+    # coordinates move away from 0): a word that fails fails at back-iterate 0
+    # already, so the first and last back-iterates decide admission
+    steps = [0, back_horizon] if isinstance(sys.metric, DyadicMetric) else range(back_horizon + 1)
+    d = shift_orbit_distances(sys, words != base_word[None, :], int(var_coords[0]), -np.asarray(steps))
+    ok = (d <= delta).all(axis=1) & (d[:, -1] <= tol)
     if not ok.any():
+        tightest = int((d > delta).argmax(axis=1).min())
         raise EmptyCloud(f"every candidate failed admission; tightest failing n = {tightest}")
     keep = np.flatnonzero(ok)
     rows = np.repeat(x.symbols[None, :], len(keep), axis=0)
@@ -411,7 +397,7 @@ def _symbolic_box_radius(sys: FullShift, eps: float) -> int:
     if isinstance(sys.metric, DyadicMetric):
         return dyadic_depth(eps)
     limit = 10 * sys.window
-    k = cylinder_depth(sys.metric.weights, sys.alphabet_size, eps, limit)
+    k = cylinder_depth(sys.metric.weights, eps, limit)
     if k > limit:
         raise ValueError(f"scale {eps} below the weighted-metric resolution")
     return k
@@ -604,7 +590,7 @@ def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4):
         m_delta = max(dyadic_depth(delta), 1)
     else:
         # the first coordinate past the delta-cylinder's radius, at most 10_000
-        m_delta = cylinder_depth(sys.metric.weights, a, delta, 9_998) + 1
+        m_delta = cylinder_depth(sys.metric.weights, delta, 9_998) + 1
     scales = [delta / 2.0 * 2.0 ** (-j) for j in range(octaves + 1)]
     if isinstance(sys.metric, DyadicMetric):
         ks = [_symbolic_box_radius(sys, e) for e in scales]
@@ -618,7 +604,7 @@ def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4):
         partial = w.a(0)
         tail = max(w.total - partial, 0.0)
         for e in scales:
-            while (a - 1) * math.sqrt(2.0 * tail) > e:
+            while math.sqrt(2.0 * tail) > e:
                 k += 1
                 partial += w.a(k)
                 tail = max(w.total - partial, 0.0)

@@ -182,6 +182,10 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
     at_flip = centers[rows // probes, flip_pos]
     diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
 
+    # d(T^j x, T^j y) as ``shift_orbit_distances`` defines it, planned per window;
+    # mismatches move as on the forward shift even when ``sys.inverted``: the
+    # mismatch law of the probes is mirror-symmetric (flip side and random tail
+    # alike), so the ratios have the same law in either direction
     if M is None:
         d = 2.0 ** (-_nearest_mismatch(diff, first, n_max))
     else:

@@ -202,8 +202,11 @@ class ExperimentConfig:
         system = raw.get("system", dict(TASKS[task].systems[0]))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
         sys = _built("system", build_system, system)
-        oracle = raw.get("oracle", _default_oracle(sys))
+        default = _default_oracle(sys)
+        oracle = raw.get("oracle", default)
         _validate_descriptor(oracle, _ORACLE_KEYS, "oracle")
+        if oracle["kind"] == default["kind"]:
+            oracle = {**default, **oracle}  # a Bernoulli oracle without probs is the uniform one
         measure = _built("oracle", build_oracle, oracle)
         families = [_family(desc) for desc in TASKS[task].systems]
         if _family(system) not in families:
@@ -295,7 +298,8 @@ def build_oracle(desc: dict):
     if kind == "lebesgue":
         return LebesgueTorus()
     if kind == "bernoulli":
-        return BernoulliIID(tuple(float(p) for p in desc.get("probs", [0.5, 0.5])))
+        # from_dict fills a shift's probs from _default_oracle; only a refused torus config lacks them
+        return BernoulliIID(tuple(float(p) for p in desc.get("probs", BernoulliIID.probs)))
     pi = desc.get("pi")
     return MarkovStationary(
         tuple(tuple(float(v) for v in row) for row in desc.get("transitions", [[0.7, 0.3], [0.4, 0.6]])),

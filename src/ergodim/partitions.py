@@ -43,7 +43,7 @@ from .measures import (
     transition_entropy,
     uniform_symbols,
 )
-from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric
+from .systems import DyadicMetric, FullShift, SymbolicPoint, WeightedL2Metric, shift_orbit_distances
 
 __all__ = [
     "CylinderPartition",
@@ -107,7 +107,7 @@ class CylinderPartition:
             w = sys.metric.weights
             free = [i for i in range(-sys.window, sys.window + 1) if i not in S]
             mass = math.fsum(w.a(abs(i)) for i in free)
-            return (sys.alphabet_size - 1) * math.sqrt(mass)
+            return math.sqrt(mass)
         raise MixedSystems("unknown shift metric")
 
 
@@ -303,23 +303,6 @@ class AtomCheckReport:
     level_violations: int
 
 
-def _pair_distances_under_backshift(sys: FullShift, y_syms, z_syms, lo, horizon):
-    """d(T^{-i} y, T^{-i} z) for i = 0..horizon, from stored mismatch positions."""
-    diff = np.flatnonzero(y_syms != z_syms) + lo  # mismatch coordinates
-    iis = np.arange(horizon + 1)
-    if diff.size == 0:
-        return np.zeros(horizon + 1)
-    if isinstance(sys.metric, DyadicMetric):
-        nearest = np.abs(diff[:, None] + iis[None, :]).min(axis=0)
-        return 2.0 ** (-nearest.astype(float))
-    w = sys.metric.weights
-    kmax = int(np.abs(diff).max() + horizon)
-    vals = w.values(kmax)
-    shifted = np.abs(diff[:, None] + iis[None, :])
-    keep = shifted <= sys.window
-    return np.sqrt((vals[shifted] * keep).sum(axis=0))
-
-
 def check_atom_in_unstable(
     sys: FullShift,
     plan: SubordinatePlan,
@@ -346,23 +329,20 @@ def check_atom_in_unstable(
     width = x.symbols.size
     agree_pos = np.array(agree) - lo
 
-    worst = 0.0
-    violations = 0
-    level_worst = [0.0] * len(plan.betas)
-    for _ in range(pairs):
+    diff = np.empty((pairs, width), dtype=bool)
+    for p in range(pairs):
         y = uniform_symbols(rng, a, width)
         z = uniform_symbols(rng, a, width)
-        y[agree_pos] = x.symbols[agree_pos]
-        z[agree_pos] = x.symbols[agree_pos]
-        d = _pair_distances_under_backshift(sys, y, z, lo, horizon)
-        worst = max(worst, float(d.max()))
-        violations += int((d > plan.delta).sum() > 0)
-        for j, (k_j, beta_j) in enumerate(zip(plan.ks, plan.betas)):
-            top = horizon - k_j
-            if top >= 1:
-                seg = d[k_j + 1 : k_j + top + 1]
-                if seg.size:
-                    level_worst[j] = max(level_worst[j], float(seg.max()))
+        diff[p] = y != z
+    diff[:, agree_pos] = False  # both agree with x there
+    # d(T^{-i} y, T^{-i} z) for i = 0..horizon; partitions keep the left shift's
+    # convention (see ``pullback``) on an inverted system too
+    back = np.arange(horizon + 1)
+    d = shift_orbit_distances(sys, diff, lo, back if sys.inverted else -back)
+    worst = float(d.max(initial=0.0))
+    violations = int((d > plan.delta).any(axis=1).sum())
+    # level j reads T^{-(k_j + i)} for i >= 1
+    level_worst = [float(d[:, k_j + 1 :].max(initial=0.0)) for k_j in plan.ks]
     per_level = []
     level_violations = 0
     for j, beta_j in enumerate(plan.betas):

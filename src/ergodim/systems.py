@@ -39,6 +39,7 @@ __all__ = [
     "SymbolicPoint",
     "iterate",
     "distance",
+    "shift_orbit_distances",
     "torus_displacement_norm",
     "torus_norm_rows",
     "invert",
@@ -201,7 +202,11 @@ class DyadicMetric(ShiftMetric):
 
 @dataclass(frozen=True, eq=False)
 class WeightedL2Metric(ShiftMetric):
-    """d(x, y) = (sum_{|i|<=N} a_|i| |x_i - y_i|^2)^(1/2) with truncation tail bound."""
+    """d(x, y) = (sum_{|i|<=N} a_|i| [x_i != y_i])^(1/2) with truncation tail bound.
+
+    Each differing coordinate counts once, whatever the two symbols are, so the
+    metric does not depend on how the alphabet is numbered.
+    """
 
     weights: WeightSequence = field(default_factory=default_weights)
 
@@ -359,31 +364,45 @@ def torus_norm_rows(v: np.ndarray) -> np.ndarray:
     return np.hypot(frac[:, 0], frac[:, 1])
 
 
-def _dyadic_distance(x: SymbolicPoint, y: SymbolicPoint) -> float:
-    lo = max(x.lo, y.lo)
-    hi = min(x.hi, y.hi)
-    if not (lo <= 0 <= hi):
-        raise WindowExhausted("known windows do not overlap around coordinate 0")
-    xs = x.symbols[lo - x.lo : hi - x.lo + 1]
-    ys = y.symbols[lo - y.lo : hi - y.lo + 1]
-    mism = np.flatnonzero(xs != ys)
-    if mism.size == 0:
-        return 0.0  # indistinguishable within the stored representation
-    k = int(np.min(np.abs(mism + lo)))
-    return 2.0 ** (-k)
+# weighted terms (coordinates x rows x steps) held at once: half a MB at most
+_ORBIT_CELLS = 1 << 16
 
 
-def _weighted_distance(x: SymbolicPoint, y: SymbolicPoint, metric: WeightedL2Metric, window: int) -> float:
-    lo = max(x.lo, y.lo, -window)
-    hi = min(x.hi, y.hi, window)
-    if not (lo <= 0 <= hi):
-        raise WindowExhausted("known windows do not overlap around coordinate 0")
-    xs = x.symbols[lo - x.lo : hi - x.lo + 1].astype(float)
-    ys = y.symbols[lo - y.lo : hi - y.lo + 1].astype(float)
-    idx = np.abs(np.arange(lo, hi + 1))
-    kmax = int(idx.max())
-    w = metric.weights.values(kmax)[idx]
-    return math.sqrt(float(np.dot(w, (xs - ys) ** 2)))
+def shift_orbit_distances(sys: FullShift, diff, first: int, times) -> np.ndarray:
+    """d(T^t x, T^t y) for each row of a mismatch matrix and each step t in ``times``.
+
+    ``diff[p, j]`` is True where pair p disagrees at coordinate ``first + j``;
+    after t steps that mismatch sits at i = first + j - t (first + j + t on an
+    inverted shift, as ``iterate`` moves it).  Returns out[p, k] for t = times[k]:
+    2**-min|i| on the dyadic metric, and sqrt(sum a_|i|) over the mismatches
+    with |i| <= window on the weighted one, added in ascending coordinate
+    order; 0 for a row without a mismatch.
+    """
+    step = -1 if sys.inverted else 1
+    width = diff.shape[1]
+    if isinstance(sys.metric, DyadicMetric):
+        # the mismatch nearest to column j (which reaches coordinate 0 after t
+        # steps) is the last one at or left of j or the first one at or right of
+        # it; running maxima of 1-based marks find both, 0 meaning there is none
+        marks = np.arange(1, width + 1, dtype=np.int32)
+        upto = np.maximum.accumulate(diff * marks, axis=1)  # 1 + last mismatch column <= c
+        back = np.maximum.accumulate(diff[:, ::-1] * marks, axis=1)[:, ::-1]  # width - first one >= c
+        j = step * np.asarray(times) - first
+        at = np.clip(j, 0, width - 1)
+        left = np.where(upto[:, at] > 0, np.abs(j - (upto[:, at] - 1)), np.inf)
+        right = np.where(back[:, at] > 0, np.abs(width - back[:, at] - j), np.inf)
+        return 2.0 ** -np.minimum(left, right)
+    pos = np.abs(first + np.arange(width)[:, None] - step * np.asarray(times)[None, :])  # [coordinate, step]
+    near = np.minimum(pos, sys.window)
+    w = sys.metric.weights.values(int(near.max()))[near] * (pos <= sys.window)
+    out = np.zeros((diff.shape[0], pos.shape[1]))
+    cols = np.flatnonzero(diff.any(axis=0))
+    group = max(1, _ORBIT_CELLS // out.size)  # coordinates per batch of terms
+    for s in range(0, cols.size, group):
+        c = cols[s : s + group]
+        for term in diff[:, c].T[:, :, None] * w[c, None, :]:
+            out += term  # one coordinate at a time: the same bits for every call shape
+    return np.sqrt(out)
 
 
 def distance(sys: SystemDescriptor, x, y) -> float:
@@ -397,9 +416,12 @@ def distance(sys: SystemDescriptor, x, y) -> float:
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         return torus_displacement_norm(x.x - y.x, x.y - y.y)
     if isinstance(sys, FullShift):
-        if isinstance(sys.metric, DyadicMetric):
-            return _dyadic_distance(x, y)
-        return _weighted_distance(x, y, sys.metric, sys.window)
+        lo = max(x.lo, y.lo)
+        hi = min(x.hi, y.hi)
+        if not (lo <= 0 <= hi):
+            raise WindowExhausted("known windows do not overlap around coordinate 0")
+        diff = x.symbols[lo - x.lo : hi - x.lo + 1] != y.symbols[lo - y.lo : hi - y.lo + 1]
+        return float(shift_orbit_distances(sys, diff[None, :], lo, [0])[0, 0])
     raise MixedSystems(f"unknown system kind {type(sys).__name__}")
 
 
@@ -481,20 +503,20 @@ def dyadic_depth(eps: float) -> int:
     return max(0, 1 - math.frexp(eps)[1])
 
 
-def cylinder_depth(weights: WeightSequence, alphabet: int, eps: float, limit: int) -> int:
+def cylinder_depth(weights: WeightSequence, eps: float, limit: int) -> int:
     """Smallest k <= limit whose cylinder fixing |i| <= k has weighted diameter
-    (alphabet - 1) * sqrt(2 * sum_{j > k} a_j) <= eps (two-sided); limit + 1 if none."""
+    sqrt(2 * sum_{j > k} a_j) <= eps (two-sided); limit + 1 if none."""
     k = 0
-    while k <= limit and (alphabet - 1) * math.sqrt(2.0 * weights.tail_sum(k)) > eps:
+    while k <= limit and math.sqrt(2.0 * weights.tail_sum(k)) > eps:
         k += 1
     return k
 
 
-def one_sided_depth(weights: WeightSequence, alphabet: int, eps: float, limit: int) -> int:
-    """Smallest m <= limit with (alphabet - 1) * sqrt(sum_{j >= m} a_j) <= eps, the most
-    that changing coordinates >= m on one side moves a point; limit + 1 if none."""
+def one_sided_depth(weights: WeightSequence, eps: float, limit: int) -> int:
+    """Smallest m <= limit with sqrt(sum_{j >= m} a_j) <= eps, the most that
+    changing coordinates >= m on one side moves a point; limit + 1 if none."""
     m = 0
-    while m <= limit and (alphabet - 1) * math.sqrt(weights.tail_sum(m - 1)) > eps:
+    while m <= limit and math.sqrt(weights.tail_sum(m - 1)) > eps:
         m += 1
     return m
 

@@ -31,6 +31,16 @@ def test_clean_run_exits_zero(tmp_path, config_file, capsys):
     assert (tmp_path / "out" / "hamming-bounds.csv").exists()
 
 
+def test_bernoulli_oracle_without_probs_is_uniform_over_the_alphabet(tmp_path, config_file):
+    doc = {"task": "entropy", "seed": 0, "n": 4, "system": {"kind": "full_shift", "alphabet": 3}}
+    payloads = []
+    for name, oracle in (("given", {"oracle": {"kind": "bernoulli"}}), ("omitted", {})):
+        cfg = config_file({**doc, **oracle}, name=f"{name}.json")
+        assert main(["entropy", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        payloads.append(json.loads((tmp_path / name / "entropy.json").read_text())["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def test_flagged_run_exits_two(tmp_path, config_file, capsys):
     cfg = config_file({"task": "hamming-bounds", "seed": 0, "n_values": [4, 12], "eps": 0.01})
     rc = main(["hamming-bounds", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -6,6 +6,7 @@ predicted in closed form (2^k distinct central words at window radius k); the
 weighted-metric covering radii are re-derived by direct per-scale tail-sum
 search rather than the production incremental scan.
 """
+import itertools
 import math
 
 import numpy as np
@@ -600,6 +601,23 @@ def test_mass_needs_four_scales(cat_cloud, cat):
         local_dimension_lower(cloud, None, cloud.points[1], [0.01, 0.005, 0.0025], sys=cat)
 
 
+def test_cloud_admits_the_words_distance_admits_on_three_symbols():
+    sys = FullShift(alphabet_size=3, metric=WeightedL2Metric())
+    x = sample_point(sys, BernoulliIID((1 / 3,) * 3), 0, 1000)
+    delta, horizon = 0.5, 12
+    cloud = sample_unstable_set(sys, x, delta, back_horizon=horizon, budget=81)
+    start, depth = cloud.varied_window
+    admitted = {row.tobytes() for row in cloud.rows}
+    for word in itertools.product(range(3), repeat=depth):
+        symbols = x.symbols.copy()
+        symbols[start - x.lo : start - x.lo + depth] = word
+        y = SymbolicPoint(symbols, x.lo)
+        d = [distance(sys, iterate(sys, x, -i), iterate(sys, y, -i)) for i in range(horizon + 1)]
+        ok = max(d) <= delta and d[-1] <= cloud.admission_tolerance
+        assert ok == (symbols.tobytes() in admitted), word
+    assert 0 < cloud.admitted < 3**depth
+
+
 def test_exact_mass_needs_dyadic_metric(weighted_shift, bern_half):
     x = sample_point(weighted_shift, bern_half, 0, 1000)
     cloud = sample_unstable_set(weighted_shift, x, 0.5, back_horizon=10, budget=64)
@@ -628,7 +646,6 @@ def _old_flip_depth(sys, r):
 
 def _old_cloud_depth(sys, delta):
     """dimension: ``_shift_unstable_cloud``, before its max(m_delta, 1)."""
-    a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
         m_delta = 0
         while 2.0 ** (-m_delta) > delta:
@@ -636,7 +653,7 @@ def _old_cloud_depth(sys, delta):
     else:
         w = sys.metric.weights
         m_delta = 0
-        while (a - 1) * math.sqrt(max(w.total - math.fsum(w.a(k) for k in range(m_delta)), 0.0)) > delta:
+        while math.sqrt(max(w.total - math.fsum(w.a(k) for k in range(m_delta)), 0.0)) > delta:
             m_delta += 1
             if m_delta > sys.window:
                 break
@@ -667,9 +684,8 @@ def _old_box_radius(sys, eps):
             k += 1
         return k
     w = sys.metric.weights
-    a = sys.alphabet_size
     k = 0
-    while (a - 1) * math.sqrt(2.0 * w.tail_sum(k)) > eps:
+    while math.sqrt(2.0 * w.tail_sum(k)) > eps:
         k += 1
         if k > 10 * sys.window:
             raise ValueError(f"scale {eps} below the weighted-metric resolution")
@@ -678,7 +694,6 @@ def _old_box_radius(sys, eps):
 
 def _old_cover_depth(sys, delta):
     """dimension: ``unstable_cover_counts``'s m_delta."""
-    a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
         m_delta = 0
         while 2.0 ** (-m_delta) > delta:
@@ -686,7 +701,7 @@ def _old_cover_depth(sys, delta):
     else:
         w = sys.metric.weights
         m_delta = 0
-        while (a - 1) * math.sqrt(2.0 * w.tail_sum(m_delta - 1 if m_delta else 0)) > delta and m_delta < 10_000:
+        while math.sqrt(2.0 * w.tail_sum(m_delta - 1 if m_delta else 0)) > delta and m_delta < 10_000:
             m_delta += 1
     return max(m_delta, 1)
 
@@ -710,8 +725,8 @@ def _radii(lowest_octave):
 _DEPTH_SHIFTS = {
     "dyadic": (FullShift(alphabet_size=2), 60),
     "weighted": (FullShift(alphabet_size=2, metric=WeightedL2Metric()), 4),
-    # a small window reaches every cap; three symbols exercise the (a - 1) factor
-    "weighted-ternary-w16": (FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=16), 3),
+    # a small window reaches every cap; on three symbols the depths are those of two
+    "weighted-ternary-w16": (FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=16), 4),
 }
 
 
@@ -730,7 +745,7 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
         if dyadic:
             cloud_depth = dyadic_depth(r)
         else:
-            cloud_depth = one_sided_depth(sys.metric.weights, sys.alphabet_size, r, sys.window)
+            cloud_depth = one_sided_depth(sys.metric.weights, r, sys.window)
         assert cloud_depth == _old_cloud_depth(sys, r), r
         assert _outcome(_symbolic_box_radius, sys, r) == _outcome(_old_box_radius, sys, r), r
         assert unstable_cover_counts(sys, r, octaves=0)["m_delta"] == _old_cover_depth(sys, r), r

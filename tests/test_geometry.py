@@ -19,6 +19,7 @@ from ergodim.geometry import (
     _nearest_mismatch,
     _shift_block_ratios,
     _shift_probe_symbols,
+    _shift_weight_matrix,
     _shift_window_plan,
     _torus_ratios_from_draws,
     bowen_ball_contains,
@@ -38,6 +39,7 @@ from ergodim.systems import (
     distance,
     iterate,
     open_flip_depth,
+    shift_orbit_distances,
 )
 from tests.conftest import LOG_LAM
 
@@ -293,6 +295,24 @@ def test_nearest_mismatch_past_a_small_window(bern_half):
     assert np.isfinite(_nearest_mismatch(diff, x.lo, 12)).all()
     values, accepted = lipschitz_table(sys, [x], r=0.25, n_schedule=[2, 12], probes=64, seed=1)
     assert np.isfinite(values).all() and (accepted > 0).all()
+
+
+@pytest.mark.parametrize("metric", [DyadicMetric(), WeightedL2Metric()], ids=["dyadic", "weighted"])
+def test_flip_kernel_plan_gives_the_shared_orbit_distances(metric):
+    """The flip kernel's per-window plan against ``shift_orbit_distances`` on forward steps:
+    bit for bit on the dyadic metric; to rounding on the weighted one, whose matmul
+    adds in its own order."""
+    sys = FullShift(alphabet_size=3, metric=metric, window=40)
+    lo, width, n_max = -40, 81, 12  # steps past the window edge meet its cut-off
+    rng = np.random.default_rng(7)
+    for density in (0.0, 0.02, 0.3):
+        diff = rng.random((64, width)) < density
+        want = shift_orbit_distances(sys, diff, lo, range(n_max + 1))
+        if isinstance(metric, DyadicMetric):
+            assert (2.0 ** -_nearest_mismatch(diff, lo, n_max)).tobytes() == want.tobytes()
+        else:
+            M = _shift_weight_matrix(sys, np.arange(lo, lo + width), n_max)
+            np.testing.assert_allclose(np.sqrt(diff.astype(float) @ M), want, rtol=0, atol=1e-12)
 
 
 def _probe_ratios(sys, x, r, ns, probes, rng):

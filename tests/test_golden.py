@@ -2,7 +2,8 @@
 
 ``golden_payloads.json`` holds the sha256 of ``Report.payload_bytes()`` for each
 config in ``TINY_CONFIGS`` plus small shift-cloud ``dimension``/``verify`` runs
-on the dyadic shift with a Markov oracle.  A change that moves one of these
+on the dyadic shift with a Markov oracle, and weighted-shift ``partition-build``
+and ``dimension`` runs.  A change that moves one of these
 hashes changes a report's numbers; re-recording is a deliberate act that
 CHANGES.md must explain (which tasks, and the numerical reason).
 
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from ergodim.harness import ExperimentConfig, run_experiment
-from tests.test_harness import TINY_CONFIGS
+from tests.test_harness import FAMILIES, ON_FAMILY, TINY_CONFIGS
 
 GOLDEN = Path(__file__).with_name("golden_payloads.json")
 
@@ -23,6 +24,7 @@ _MARKOV_SHIFT = {
     "system": {"kind": "full_shift", "alphabet": 2, "metric": "dyadic"},
     "oracle": {"kind": "markov", "transitions": [[0.7, 0.3], [0.4, 0.6]]},
 }
+_WEIGHTED = "full_shift/weighted"
 # Monte Carlo Bowen-ball masses, the route the exact-cylinder default never runs
 _MONTE_CARLO = {"task": "brin-katok", "seed": 0, "mode": "monte_carlo", "samples": 5000,
                 "min_hits": 5, "eps_schedule": [0.5, 0.25], "n_schedule": [1, 2, 3, 4]}
@@ -42,6 +44,10 @@ CONFIGS = {
     "brin-katok-monte-carlo-cat": {**_MONTE_CARLO,
                                    "system": {"kind": "toral_automorphism", "matrix": [[2, 1], [1, 1]]}},
     "brin-katok-monte-carlo-shift": {**_MONTE_CARLO, "system": _MARKOV_SHIFT["system"]},
+    # the weighted atom check and the weighted unstable-cloud admission
+    **{f"{task}-weighted": {**TINY_CONFIGS[task], **ON_FAMILY[(task, _WEIGHTED)],
+                            "system": FAMILIES[_WEIGHTED]}
+       for task in ("partition-build", "dimension")},
 }
 
 

@@ -405,6 +405,10 @@ def test_default_shift_oracle_is_uniform_over_the_alphabet():
     assert rep.payload["chi"] == pytest.approx(LOG2, abs=0.05)
     entropy = run({"task": "entropy", "seed": 0, "n": 4, "system": {"kind": "full_shift", "alphabet": 3}})
     assert entropy.payload["value"] == pytest.approx(math.log(3), abs=1e-12)
+    # a Bernoulli oracle that leaves out its probs is the same uniform oracle
+    given = run({**entropy.config, "oracle": {"kind": "bernoulli"}})
+    assert given.config == entropy.config
+    assert given.payload_bytes() == entropy.payload_bytes()
 
 
 def test_mode_and_direction_validation():
@@ -855,6 +859,17 @@ def test_payload_hashes_cover_every_workload_report(capsys):
     assert len(lines) == 22 and len(by_threads[1]) == 11
     assert by_threads[1] == by_threads[2]
     assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, _, d in by_threads[1])
+
+
+def test_workload_payloads_match_the_benchmark_golden():
+    """The benchmark's seed-0 payload gate, at full scale, from the read-only golden file."""
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+    assert golden["seed"] == 0
+    got = {(w, task): d for w, task, _, _, d in _load_script("payload_hashes").hashes([0], [1])}
+    want = {(w, task): rec["sha256"] for w, tasks in golden["workloads"].items()
+            for task, rec in tasks.items()}
+    assert len(want) == 11
+    assert got == want
 
 
 def test_print_report_leaves_quietly_when_the_reader_closes(tmp_path):

@@ -20,7 +20,7 @@ from ergodim.errors import (
     SearchExhausted,
     UnsupportedOracle,
 )
-from ergodim.measures import BernoulliIID, sample_point, word_distribution
+from ergodim.measures import BernoulliIID, rng_for, sample_point, uniform_symbols, word_distribution
 from ergodim.partitions import (
     CylinderPartition,
     check_atom_in_unstable,
@@ -37,7 +37,7 @@ from ergodim.partitions import (
     refine,
     shift_lemma_check,
 )
-from ergodim.systems import FullShift, SymbolicPoint, distance
+from ergodim.systems import FullShift, SymbolicPoint, WeightedL2Metric, distance, iterate
 from tests.conftest import LOG2
 
 
@@ -130,23 +130,28 @@ def test_dyadic_diameter_dominates_samples(dyadic_shift):
         assert d <= bound + 1e-15
 
 
-def test_weighted_diameter_bound_achieved(weighted_shift):
-    part = cylinder_window(-2, 2)
-    bound = part.diameter_bound(weighted_shift)
-    W = weighted_shift.window
-    free = [i for i in range(-W, W + 1) if abs(i) > 2]
-    zero = np.zeros(2 * W + 1, dtype=np.int8)
-    ones = zero.copy()
-    ones[np.array(free) + W] = 1
-    x, y = SymbolicPoint(zero, lo=-W), SymbolicPoint(ones, lo=-W)
-    assert distance(weighted_shift, x, y) == pytest.approx(bound, rel=1e-12)
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_weighted_diameter_bound_achieved(alphabet):
+    sys = FullShift(alphabet_size=alphabet, metric=WeightedL2Metric())
+    part = cylinder_window(-2, 2, alphabet)
+    bound = part.diameter_bound(sys)
+    W = sys.window
+    # a pair that differs at every free coordinate attains the sup, whatever its symbols
+    free = np.array([i for i in range(-W, W + 1) if abs(i) > 2]) + W
+    pair_rng = np.random.default_rng(0)
+    a = pair_rng.integers(0, alphabet, size=2 * W + 1, dtype=np.int8)
+    b = a.copy()
+    b[free] = (a[free] + pair_rng.integers(1, alphabet, size=free.size)) % alphabet
+    x, y = SymbolicPoint(a, lo=-W), SymbolicPoint(b, lo=-W)
+    assert part.label(x) == part.label(y)
+    assert distance(sys, x, y) == pytest.approx(bound, rel=1e-12)
     rng = np.random.default_rng(1)
     pinned = np.array(part.coords) + W
     for _ in range(50):
-        a = rng.integers(0, 2, size=2 * W + 1, dtype=np.int8)
-        b = rng.integers(0, 2, size=2 * W + 1, dtype=np.int8)
+        a = rng.integers(0, alphabet, size=2 * W + 1, dtype=np.int8)
+        b = rng.integers(0, alphabet, size=2 * W + 1, dtype=np.int8)
         b[pinned] = a[pinned]
-        d = distance(weighted_shift, SymbolicPoint(a, lo=-W), SymbolicPoint(b, lo=-W))
+        d = distance(sys, SymbolicPoint(a, lo=-W), SymbolicPoint(b, lo=-W))
         assert d <= bound + 1e-12
 
 
@@ -255,6 +260,24 @@ def test_atom_pairs_stay_in_unstable(fair_plan):
     assert rep.worst_distance <= plan.delta
     for _, bound, observed in rep.per_level:
         assert observed <= bound
+
+
+def test_atom_check_distances_are_those_of_distance_on_three_symbols():
+    sys = FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=96)
+    oracle = BernoulliIID((1 / 3,) * 3)
+    plan = construct_subordinate_partition(sys, oracle, delta=2.5)
+    x = sample_point(sys, oracle, master_seed=2)
+    horizon, seed = 20, 0
+    rep = check_atom_in_unstable(sys, plan, x, horizon=horizon, pairs=1, seed=seed)
+    # the one pair as the check draws it: y, then z, both pinned to x on the atom's coordinates
+    rng = rng_for(seed, horizon)
+    y, z = (uniform_symbols(rng, 3, x.symbols.size) for _ in range(2))
+    agree = np.array(past_join(plan.alphas[-1], rep.past_depth_used).coords) - x.lo
+    y[agree] = z[agree] = x.symbols[agree]
+    y, z = SymbolicPoint(y, x.lo), SymbolicPoint(z, x.lo)
+    d = [distance(sys, iterate(sys, y, -i), iterate(sys, z, -i)) for i in range(horizon + 1)]
+    assert rep.worst_distance == max(d)
+    assert [worst for _, _, worst in rep.per_level] == [max(d[k + 1 :], default=0.0) for k in plan.ks]
 
 
 def test_atom_check_worst_distance_is_sharp(fair_plan):
