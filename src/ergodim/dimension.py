@@ -327,11 +327,8 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     # already, so the first and last back-iterates decide admission
     steps = [0, back_horizon] if isinstance(sys.metric, DyadicMetric) else range(back_horizon + 1)
     d = shift_orbit_distances(sys, words != base_word[None, :], int(var_coords[0]), -np.asarray(steps))
-    ok = (d <= delta).all(axis=1) & (d[:, -1] <= tol)
-    if not ok.any():
-        tightest = int((d > delta).argmax(axis=1).min())
-        raise EmptyCloud(f"every candidate failed admission; tightest failing n = {tightest}")
-    keep = np.flatnonzero(ok)
+    # the base point's own word is at distance 0, so at least one row is admitted
+    keep = np.flatnonzero((d <= delta).all(axis=1) & (d[:, -1] <= tol))
     rows = np.repeat(x.symbols[None, :], len(keep), axis=0)
     rows[:, var_coords - x.lo] = words[keep]
     return PointCloud(
@@ -377,9 +374,11 @@ def sample_unstable_set(
     d(T^{-i} x, T^{-i} y) <= delta for all i <= back_horizon and <= the
     admission tolerance (default delta/8) at the horizon itself.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     tol = delta / 8.0 if admission_tolerance is None else admission_tolerance
+    if not tol >= 0:
+        raise ValueError("admission_tolerance must be nonnegative")
     if isinstance(sys, ToralAutomorphism):
         return _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol)
     if isinstance(sys, FullShift):

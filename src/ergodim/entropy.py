@@ -1,10 +1,11 @@
 """Partition entropies and local entropy of Bowen balls.
 
-Exact routes enumerate cylinder atoms or use closed-form log measures; Monte
-Carlo routes carry standard errors.  Local entropy follows the two-sided
-recipe: for a schedule of radii and times, form -log mu(B_n(x, eps)) / n and
-report liminf/limsup proxies as min/max over the trailing half of the time
-schedule, per radius, evaluated at the smallest reliable radius.
+Exact routes enumerate cylinder atoms or use closed forms (the chain rule,
+cylinder log measures); Monte Carlo routes carry standard errors.  Local
+entropy follows the two-sided recipe: for a schedule of radii and times, form
+-log mu(B_n(x, eps)) / n and report liminf/limsup proxies as min/max over the
+trailing half of the time schedule, per radius, evaluated at the smallest
+reliable radius.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from .measures import (
     BernoulliIID,
     MarkovStationary,
     MeasureOracle,
+    entropy_rate,
     fixed_coords_log_measure,
+    marginal_entropy,
     rng_for,
     sample_symbol_block,
     shannon_entropy,
     word_distribution,
 )
-from .partitions import CylinderPartition, orbit_join, refine
+from .partitions import CylinderPartition, refine
 from .systems import (
     FIXED_DENOM,
     DyadicMetric,
@@ -58,7 +61,7 @@ class EntropyEstimate:
     """An entropy value in nats with provenance of how it was computed."""
 
     value: float
-    mode: str  # "exact" or "monte_carlo"
+    mode: str  # "exact" or "monte_carlo" (Bowen-ball hit frequencies)
     n_used: int
     sample_count: int
     stderr: float | None = None
@@ -103,47 +106,38 @@ def conditional_entropy(
 
 def block_entropy_rate(
     oracle: MeasureOracle,
-    alpha: CylinderPartition,
+    alpha: CylinderPartition | tuple[int, int],
     n: int,
-    mode: str = "auto",
-    samples: int = 200_000,
-    seed: int = 0,
     budget: int = ATOM_BUDGET,
 ) -> EntropyEstimate:
     """H(alpha_0^{n-1}) / n: the n-block entropy rate of the orbit join.
 
-    Exact when the joined atom count fits the budget; otherwise Monte Carlo
-    with plug-in word frequencies (biased low; stderr reported).  ``mode`` is
-    "auto", "exact", or "monte_carlo".
+    ``alpha`` is a cylinder window: a partition on consecutive coordinates
+    lo..hi, or just its ends (lo, hi).  The join is the window lo..hi + n - 1
+    of span = n + hi - lo coordinates.  Its word distribution is enumerated
+    when a^span atoms fit the budget; past it the chain rule
+    H(x_0) + (span - 1) h gives the entropy in closed form.  Both are exact for
+    Bernoulli and Markov oracles, and the cost grows with neither n nor the
+    window's width.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    block = orbit_join(alpha, 0, n - 1)
-    fits = block.atom_count <= budget
-    if mode not in ("auto", "exact", "monte_carlo"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and not fits:
-        raise AtomBudgetExceeded(f"{block.atom_count} atoms exceed the budget of {budget}")
-    if mode in ("auto", "exact") and fits:
-        dist = word_distribution(oracle, list(block.coords), budget=budget)
+    if isinstance(alpha, CylinderPartition):
+        if len(alpha.coords) != alpha.coords[-1] - alpha.coords[0] + 1:
+            raise ValueError("alpha must be a cylinder window on consecutive coordinates")
+        alpha = alpha.coords[0], alpha.coords[-1]
+    lo, hi = alpha
+    if hi < lo:
+        raise ValueError("window must satisfy lo <= hi")
+    span = n + hi - lo
+    # every alphabet has >= 2 symbols, so a^span > budget once span reaches its bit length
+    if span < budget.bit_length() and oracle.alphabet_size ** span <= budget:
+        dist = word_distribution(oracle, range(lo, lo + span), budget=budget)
         return EntropyEstimate(
             value=_dist_entropy(dist) / n, mode="exact", n_used=n, sample_count=dist.size
         )
-    # Monte Carlo: the coordinates form a contiguous window for contiguous
-    # alpha; stationarity lets us sample the block law directly.
-    coords = block.coords
-    span = coords[-1] - coords[0] + 1
-    if span != len(coords):
-        raise UnsupportedOracle("Monte Carlo block sampling needs a contiguous coordinate window")
-    rng = rng_for(seed, 7, n)
-    rows = sample_symbol_block(oracle, span, samples, rng)
-    _, inverse, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
-    neg_log_f = -np.log(counts[inverse] / samples)
-    value = float(neg_log_f.mean()) / n
-    stderr = float(neg_log_f.std(ddof=1)) / math.sqrt(samples) / n
-    return EntropyEstimate(
-        value=max(value, 0.0), mode="monte_carlo", n_used=n, sample_count=samples, stderr=stderr
-    )
+    value = (marginal_entropy(oracle) + (span - 1) * entropy_rate(oracle)) / n
+    return EntropyEstimate(value=value, mode="exact", n_used=n, sample_count=0)
 
 
 # ---------------------------------------------------------------------------

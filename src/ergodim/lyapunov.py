@@ -11,6 +11,7 @@ diagnostic (the underlying quantity is nonincreasing as r shrinks).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,11 +149,13 @@ def estimate_chi(
 
 
 def _table_threaded(sys, xs, r, ns, probes, seed, r_tag, threads):
-    if threads <= 1 or len(xs) < 2:
+    # more workers than cores buy nothing, and a large ``threads`` must not start that many
+    threads = min(threads, len(xs), os.cpu_count() or 1)
+    if threads <= 1:
         return lipschitz_table(sys, xs, r, ns, probes, seed, r_tag)
     from concurrent.futures import ThreadPoolExecutor
 
-    chunks = np.array_split(np.arange(len(xs)), min(threads, len(xs)))
+    chunks = np.array_split(np.arange(len(xs)), threads)
 
     def work(idx):
         # per-point seeds (global index) make the result independent of the chunking

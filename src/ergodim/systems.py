@@ -40,7 +40,6 @@ __all__ = [
     "iterate",
     "distance",
     "shift_orbit_distances",
-    "torus_displacement_norm",
     "torus_norm_rows",
     "invert",
     "resolution_floor",
@@ -341,22 +340,6 @@ def iterate(sys: SystemDescriptor, point, n: int):
 # metrics
 # ---------------------------------------------------------------------------
 
-_TRANSLATES = np.array(
-    [(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)], dtype=float
-)
-
-
-def torus_displacement_norm(dx: float, dy: float) -> float:
-    """Distance from (0,0) to (dx, dy) on the torus: min over 9 lattice translates."""
-    best = math.inf
-    for ti, tj in _TRANSLATES:
-        vx = dx + ti
-        vy = dy + tj
-        d = vx * vx + vy * vy
-        if d < best:
-            best = d
-    return math.sqrt(best)
-
 
 def torus_norm_rows(v: np.ndarray) -> np.ndarray:
     """Torus norm (min over the 9 lattice translates) of each displacement row."""
@@ -414,7 +397,7 @@ def distance(sys: SystemDescriptor, x, y) -> float:
     ``resolution_floor``.
     """
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
-        return torus_displacement_norm(x.x - y.x, x.y - y.y)
+        return float(torus_norm_rows(np.array([[x.x - y.x, x.y - y.y]]))[0])
     if isinstance(sys, FullShift):
         lo = max(x.lo, y.lo)
         hi = min(x.hi, y.hi)

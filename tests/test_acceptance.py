@@ -101,17 +101,36 @@ def test_cat_map_exponent_within_two_percent(capsys, cat):
 
 def test_block_entropy_rates_converge(capsys, fair, markov):
     alpha = cylinder_window(0, 0)
-    fair_est = block_entropy_rate(fair, alpha, 16, mode="exact")
+    fair_est = block_entropy_rate(fair, alpha, 16)
     fair_err = abs(fair_est.value - LOG2)
     h = entropy_rate(markov)
-    mk_est = block_entropy_rate(markov, alpha, 16, mode="exact")
+    mk_est = block_entropy_rate(markov, alpha, 16)
     closed_16 = (h2(4 / 7) + 15 * h) / 16
     mk_gap = abs(mk_est.value - h) / h
-    ok = fair_err < 1e-12 and abs(mk_est.value - closed_16) < 1e-12 and mk_gap < 0.01
+    # past the 2^24-atom budget: (alphabet, oracle, n, closed form (H(x_0) + (n - 1) h) / n)
+    past_budget = [
+        (3, {"kind": "bernoulli", "probs": [0.2, 0.3, 0.5]}, 16,
+         -sum(p * math.log(p) for p in (0.2, 0.3, 0.5))),
+        (4, {"kind": "bernoulli"}, 16, math.log(4)),
+        (2, {"kind": "markov", "transitions": [[0.7, 0.3], [0.4, 0.6]]}, 25,
+         (h2(4 / 7) + 24 * (4 / 7 * h2(0.3) + 3 / 7 * h2(0.4))) / 25),
+        (2, {"kind": "bernoulli"}, 30, LOG2),
+    ]
+    past_err, past_clean = 0.0, True
+    for alphabet, oracle, n, closed in past_budget:
+        rep = run_experiment(ExperimentConfig.from_dict(
+            {"task": "entropy", "seed": 0, "n": n, "oracle": oracle,
+             "system": {"kind": "full_shift", "alphabet": alphabet}}))
+        past_err = max(past_err, abs(rep.payload["value"] - closed))
+        past_clean = past_clean and rep.payload["mode"] == "exact" and not rep.flags
+    ok = (fair_err < 1e-12 and abs(mk_est.value - closed_16) < 1e-12 and mk_gap < 0.01
+          and past_err < 1e-12 and past_clean)
     announce(
         capsys, "block entropy rates at n = 16", ok,
         f"fair coin |rate - log 2| = {fair_err:.2e} (tol 1e-12); "
-        f"Markov gap to rate {mk_gap:.3%} (tol 1%)",
+        f"Markov gap to rate {mk_gap:.3%} (tol 1%); past the atom budget "
+        f"(3 and 4 symbols at n = 16, Markov at 25, fair coin at 30) "
+        f"max |rate - closed form| = {past_err:.2e} (tol 1e-12)",
     )
 
 

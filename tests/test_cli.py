@@ -186,6 +186,11 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
              "oracle": {"kind": "markov"}},
             "field 'oracle': it has 2 symbols, but the system's alphabet has 3",
         ),
+        # entropy is exact at every n: no sampled route, no sample count
+        ({"task": "entropy", "seed": 0, "mode": "auto"}, "field 'mode': expected one of ['exact']"),
+        ({"task": "entropy", "seed": 0, "mode": "monte_carlo"},
+         "field 'mode': expected one of ['exact']"),
+        ({"task": "entropy", "seed": 0, "samples": 1000}, "unknown key(s) for task 'entropy': samples"),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

@@ -201,6 +201,14 @@ def test_delta_must_be_positive(cat, lebesgue):
         sample_unstable_set(cat, x, 0.0)
 
 
+@pytest.mark.parametrize("system, oracle", [("cat", "lebesgue"), ("dyadic_shift", "bern_half")])
+def test_admission_tolerance_must_be_nonnegative(request, system, oracle):
+    sys, mu = request.getfixturevalue(system), request.getfixturevalue(oracle)
+    x = sample_point(sys, mu, 0, 3)
+    with pytest.raises(ValueError, match="admission_tolerance must be nonnegative"):
+        sample_unstable_set(sys, x, 0.25, back_horizon=10, admission_tolerance=-1e-3)
+
+
 def test_no_unstable_sampling_for_isometries(translation):
     with pytest.raises(UnsupportedOracle):
         sample_unstable_set(translation, TorusPoint(0.1, 0.2), 0.05)

@@ -32,7 +32,7 @@ from ergodim.measures import (
     fixed_coords_log_measure,
     sample_point,
 )
-from ergodim.partitions import cylinder_window, orbit_join, pullback, refine
+from ergodim.partitions import CylinderPartition, cylinder_window, orbit_join, pullback, refine
 from ergodim.systems import FullShift, SymbolicPoint
 from tests.conftest import LOG2, LOG_LAM
 
@@ -216,23 +216,35 @@ def test_high_surplus_chain_misses_one_percent_at_16():
     assert abs(est.value - h) / h > 0.01
 
 
-def test_exact_mode_budget_overflow_raises(bern_half):
-    with pytest.raises(AtomBudgetExceeded):
-        block_entropy_rate(bern_half, cylinder_window(0, 0), 20, mode="exact", budget=2**16)
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-2, 1)])
+def test_chain_rule_past_the_budget_matches_enumeration(markov, bern_biased, lo, hi):
+    # a budget of 2^12 atoms holds the span n + hi - lo = 12 block and sends 13 past it
+    alpha = cylinder_window(lo, hi)
+    for oracle in (markov, bern_biased):
+        n = 12 - (hi - lo)
+        inside = block_entropy_rate(oracle, alpha, n, budget=2**12)
+        past = block_entropy_rate(oracle, alpha, n + 1, budget=2**12)
+        enumerated = block_entropy_rate(oracle, alpha, n + 1, budget=2**13)
+        assert inside.sample_count == 2**12 and enumerated.sample_count == 2**13
+        assert past.sample_count == 0 and past.mode == "exact" and past.stderr is None
+        assert past.value == pytest.approx(enumerated.value, abs=1e-12)
+        # the window's two ends name the same partition
+        assert block_entropy_rate(oracle, (lo, hi), n + 1, budget=2**12) == past
 
 
-def test_monte_carlo_rate_close_with_stderr(bern_half):
-    est = block_entropy_rate(
-        bern_half, cylinder_window(0, 0), 4, mode="monte_carlo", samples=100_000, seed=0
-    )
-    assert est.mode == "monte_carlo"
-    assert est.stderr is not None and 0.0 < est.stderr < 0.005
-    assert abs(est.value - LOG2) < 0.01
+@pytest.mark.parametrize("window", [(0, 0), (-10**9, 10**9)])
+def test_huge_block_is_the_closed_form(markov, window):
+    n = 10**9
+    span = n + window[1] - window[0]
+    est = block_entropy_rate(markov, window, n)
+    assert est.value == pytest.approx((h2(MARKOV_PI[0]) + (span - 1) * MARKOV_H) / n, rel=1e-12)
 
 
-def test_unknown_mode_rejected(bern_half):
-    with pytest.raises(ValueError):
-        block_entropy_rate(bern_half, cylinder_window(0, 0), 2, mode="plugin")
+def test_block_rate_needs_a_window(bern_half):
+    with pytest.raises(ValueError, match="consecutive coordinates"):
+        block_entropy_rate(bern_half, CylinderPartition((0, 2)), 4)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        block_entropy_rate(bern_half, (2, 0), 4)
 
 
 # ---------------------------------------------------------------------------

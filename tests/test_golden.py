@@ -2,10 +2,11 @@
 
 ``golden_payloads.json`` holds the sha256 of ``Report.payload_bytes()`` for each
 config in ``TINY_CONFIGS`` plus small shift-cloud ``dimension``/``verify`` runs
-on the dyadic shift with a Markov oracle, and weighted-shift ``partition-build``
-and ``dimension`` runs.  A change that moves one of these
-hashes changes a report's numbers; re-recording is a deliberate act that
-CHANGES.md must explain (which tasks, and the numerical reason).
+on the dyadic shift with a Markov oracle, a 3-symbol ``entropy`` run past the
+atom budget, and weighted-shift ``partition-build`` and ``dimension`` runs.  A
+change that moves one of these hashes changes a report's numbers; re-recording
+is a deliberate act that CHANGES.md must explain (which tasks, and the
+numerical reason).
 
 Re-record with ``PYTHONPATH=src python -m tests.test_golden``.
 """
@@ -39,6 +40,10 @@ CONFIGS = {
     "verify-markov-shift-backward": {"task": "verify", "seed": 0, "direction": "backward",
                                      "base_points": 4, "chi_points": 32, "chi_probes": 48,
                                      "cloud_budget": 4000, **_MARKOV_SHIFT},
+    # 3^16 atoms exceed the budget: the block entropy's chain rule, not the enumeration
+    "entropy-3-symbols": {"task": "entropy", "seed": 0, "n": 16,
+                          "system": {"kind": "full_shift", "alphabet": 3},
+                          "oracle": {"kind": "bernoulli", "probs": [0.2, 0.3, 0.5]}},
     # coord_entropy's Markov chain rule, which the Bernoulli default skips
     "partition-build-markov": {**TINY_CONFIGS["partition-build"], **_MARKOV_SHIFT},
     "brin-katok-monte-carlo-cat": {**_MONTE_CARLO,

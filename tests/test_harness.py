@@ -128,7 +128,7 @@ def test_schedule_direction_validation():
         ({"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": True}}, "system"),
         ({"task": "chi", "seed": 0, "points": True}, "points"),
         ({"task": "chi", "seed": 0, "probes": True}, "probes"),
-        ({"task": "entropy", "seed": 0, "samples": True}, "samples"),
+        ({"task": "entropy", "seed": 0, "n": True}, "n"),
         ({"task": "smb-check", "seed": 0, "paths": True}, "paths"),
         ({"task": "partition-build", "seed": 0, "pairs": True}, "pairs"),
         ({"task": "verify", "seed": 0, "cloud_budget": True}, "cloud_budget"),
@@ -414,8 +414,12 @@ def test_default_shift_oracle_is_uniform_over_the_alphabet():
 def test_mode_and_direction_validation():
     with pytest.raises(ConfigInvalid, match="mode"):
         ExperimentConfig.from_dict({"task": "brin-katok", "seed": 0, "mode": "exact"})
-    with pytest.raises(ConfigInvalid, match="mode"):
-        ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "mode": "plugin"})
+    for mode in ("plugin", "auto", "monte_carlo"):  # entropy is exact at every n
+        with pytest.raises(ConfigInvalid, match="field 'mode': expected one of \\['exact'\\]"):
+            ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "mode": mode})
+    with pytest.raises(ConfigInvalid, match=r"unknown key\(s\) for task 'entropy': samples"):
+        ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "samples": 1000})
+    assert set(TASKS["entropy"].options) == {"n", "mode", "alpha_window"}
     with pytest.raises(ConfigInvalid, match="direction"):
         ExperimentConfig.from_dict({"task": "verify", "seed": 0, "direction": "sideways"})
 
@@ -508,11 +512,35 @@ def test_chi_report_schema():
     assert "wall_clock_s" in rep.meta and "toolkit_version" in rep.meta
 
 
+def test_chi_flags_the_integrability_guard(monkeypatch):
+    import ergodim.harness as harness
+
+    real = harness.estimate_chi
+
+    def guarded(*args, **kwargs):
+        est = real(*args, **kwargs)
+        est.diagnostics["integrability_guard_growth"] = True
+        return est
+
+    assert run(TINY_CONFIGS["chi"]).flags == []
+    monkeypatch.setattr(harness, "estimate_chi", guarded)
+    rep = run(TINY_CONFIGS["chi"])
+    assert rep.payload["diagnostics"]["integrability_guard_growth"] is True
+    assert rep.flags == ["log L_1 tail growth exceeded the integrability guard"]
+
+
 def test_entropy_task_exact_value():
     rep = run(TINY_CONFIGS["entropy"])
     assert rep.payload["mode"] == "exact"
     assert rep.payload["value"] == pytest.approx(LOG2, abs=1e-12)
     assert rep.payload["closed_form_rate"] == pytest.approx(LOG2, abs=1e-15)
+
+
+def test_entropy_cost_grows_with_neither_n_nor_the_window():
+    # the chain rule reads the window's ends: no coordinate set, no samples
+    rep = run({"task": "entropy", "seed": 0, "n": 10**9, "alpha_window": [0, 10**9]})
+    assert rep.payload["value"] == pytest.approx(2 * LOG2, rel=1e-12)
+    assert rep.payload["mode"] == "exact" and rep.flags == []
 
 
 def test_brin_katok_task_extrapolates():
@@ -631,8 +659,8 @@ def test_hamming_task_flags_crude_failure():
 
 
 def test_task_errors_become_task_failed():
-    with pytest.raises(TaskFailed, match="AtomBudgetExceeded"):
-        run({"task": "entropy", "seed": 0, "n": 25, "mode": "exact"})
+    with pytest.raises(TaskFailed, match="EmptyCloud"):
+        run({"task": "dimension", "seed": 0, "delta": 1e-7})
 
 
 def test_config_errors_pass_through(monkeypatch):

@@ -5,7 +5,9 @@ every phi_n / n equals log lambda; isometries give exactly zero; the dyadic
 doubling shift gives log 2; additive test sequences exercise the min-over-
 schedule rule directly.
 """
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -153,3 +155,28 @@ def test_chi_builds_no_generator_per_point(request, monkeypatch, system, oracle,
     sys, mu = request.getfixturevalue(system), request.getfixturevalue(oracle)
     est = estimate_chi(sys, mu, [0.2, 0.1], [2, 4], points=12, probes=16, seed=4, threads=threads)
     assert math.isfinite(est.value)
+
+
+def test_thread_pool_is_capped_at_the_cores(monkeypatch, cat, lebesgue):
+    """A huge ``threads`` asks the pool for no more workers than the machine has cores."""
+    workers = []
+
+    class SerialPool:  # records the request and starts no thread
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    args = (cat, lebesgue, [0.2], [2, 4])
+    capped = estimate_chi(*args, points=12, probes=16, seed=4, threads=100_000)
+    assert workers == [3]
+    assert capped.per_r == estimate_chi(*args, points=12, probes=16, seed=4).per_r

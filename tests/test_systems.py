@@ -26,7 +26,6 @@ from ergodim.systems import (
     iterate,
     operator_norm_power,
     resolution_floor,
-    torus_displacement_norm,
     weighted_tail_bound,
 )
 
@@ -111,10 +110,12 @@ def test_invert_round_trips(cat, translation, dyadic_shift):
 # ---------------------------------------------------------------------------
 
 
-def test_torus_metric_wraps_around():
+def test_torus_metric_wraps_around(cat):
     # 0.01 and 0.99 are 0.02 apart through the seam, not 0.98
-    assert torus_displacement_norm(0.98, 0.0) == pytest.approx(0.02, abs=1e-15)
-    assert torus_displacement_norm(0.5, 0.5) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert distance(cat, TorusPoint(0.99, 0.0), TorusPoint(0.01, 0.0)) == pytest.approx(0.02, abs=1e-15)
+    assert distance(cat, TorusPoint(0.75, 0.75), TorusPoint(0.25, 0.25)) == pytest.approx(
+        math.sqrt(0.5), abs=1e-15
+    )
 
 
 def test_dyadic_distance_first_disagreement(dyadic_shift):
