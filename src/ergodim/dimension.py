@@ -11,6 +11,7 @@ exact on the dyadic grid / stored symbol windows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -289,6 +290,15 @@ def _torus_unstable_cloud(sys, x, delta, back_horizon, budget, tol):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _words(a: int, depth: int) -> np.ndarray:
+    """All a**depth words of ``depth`` symbols, in lexicographic order (read-only, cached)."""
+    powers = a ** np.arange(depth - 1, -1, -1)
+    words = ((np.arange(a**depth)[:, None] // powers) % a).astype(np.int8)
+    words.flags.writeable = False
+    return words
+
+
 def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     a = sys.alphabet_size
     if isinstance(sys.metric, DyadicMetric):
@@ -314,8 +324,7 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     depth = 1
     while a ** (depth + 1) <= budget and depth + 1 <= room:
         depth += 1
-    powers = a ** np.arange(depth - 1, -1, -1)
-    words = ((np.arange(a**depth)[:, None] // powers) % a).astype(np.int8)
+    words = _words(a, depth)
     if side == 1:
         var_coords = np.arange(m_delta, m_delta + depth)
     else:
@@ -402,47 +411,72 @@ def _symbolic_box_radius(sys: FullShift, eps: float) -> int:
     return k
 
 
-_KEY_LIMIT = 1 << 62  # packed keys stay below this, so key * radix + digit fits in int64
-
-
 def _distinct_rows(block: np.ndarray, radix: int | None = None) -> int:
-    """Number of distinct rows of a nonnegative integer matrix.
+    """Number of distinct rows of an integer matrix.
 
     Columns are packed into one int64 key per row in mixed radix (``radix``
-    for every column, or each column's max + 1); before the packed range
-    would pass 2^62 the key is re-ranked to 0..(distinct - 1), so the count
-    is exact for any width.
+    for every column, or each column's own range), and keys are counted by
+    occupancy: one flag per packed value.  Whenever the packed range would
+    pass max(2^16, 8 rows), the key is first re-ranked to 0..(distinct - 1)
+    by the same flags, and a column still too wide for the ranked key is
+    packed one leading digit at a time.  So the flags never outnumber that
+    bound, and the count is exact for any width and any column range.
     """
+    limit = max(1 << 16, 8 * len(block))
     key = np.zeros(len(block), dtype=np.int64)
     span = 1
     for col in block.T:
-        r = radix if radix is not None else int(col.max()) + 1
-        if span * r > _KEY_LIMIT:
-            uniq, key = np.unique(key, return_inverse=True)
-            span = len(uniq)
+        if radix is None:
+            col = col - np.int64(col.min())
+            r = int(col.max()) + 1
+        else:
+            r = radix
+        while span * r > limit:
+            key, span = _ranked(key, span)
+            if span * r > limit:
+                digits = limit // span  # >= 8, so each digit shrinks r eightfold
+                q = -(-r // digits)
+                key = key * digits + col // q
+                col, r, span = col % q, q, span * digits
         key = key * r + col
         span *= r
-    return len(np.unique(key))
+    return int(np.count_nonzero(_occupied(key, span)))
+
+
+def _occupied(key: np.ndarray, span: int) -> np.ndarray:
+    """One flag per packed value 0..span - 1: is it some row's key?"""
+    seen = np.zeros(span, dtype=bool)
+    seen[key] = True
+    return seen
+
+
+def _ranked(key: np.ndarray, span: int):
+    """(rank of each key among the distinct keys, number of distinct keys)."""
+    below = np.cumsum(_occupied(key, span))
+    return below[key] - 1, int(below[-1])
 
 
 def _cloud_box_counts(cloud: PointCloud, sys, scales, origin_shift: float = 0.0):
     counts = []
     if cloud.kind == "torus":
-        P = cloud.torus_coords()
+        P = cloud.torus_coords().T  # one contiguous row per coordinate
         for eps in scales:
             idx = np.floor((P + origin_shift * eps) / eps).astype(np.int64)
-            counts.append(_distinct_rows(idx - idx.min(axis=0)))
+            counts.append(_distinct_rows(idx.T))
     else:
         S = cloud.rows
         lo = cloud.lo
-        hi = lo + S.shape[1] - 1
-        # columns constant across the cloud cannot split a box
-        varies = (S != S[0]).any(axis=0)
-        for eps in scales:
-            k = _symbolic_box_radius(sys, eps)
-            c0, c1 = max(-k, lo), min(k, hi)
-            block = S[:, c0 - lo : c1 - lo + 1][:, varies[c0 - lo : c1 - lo + 1]]
-            counts.append(_distinct_rows(block, sys.alphabet_size))
+        radii = [_symbolic_box_radius(sys, eps) for eps in scales]
+        c0, c1 = max(-max(radii), lo), min(max(radii), lo + S.shape[1] - 1)
+        # the widest box reads columns c0..c1; those constant across the cloud
+        # cannot split a box, so only the varying ones are kept, one row each
+        window = S[:, c0 - lo : c1 - lo + 1]
+        varies = np.flatnonzero((window != window[0]).any(axis=0))
+        coords = c0 + varies
+        free = np.ascontiguousarray(window[:, varies].T)
+        for k in radii:
+            rows = slice(np.searchsorted(coords, -k), np.searchsorted(coords, k, side="right"))
+            counts.append(_distinct_rows(free[rows].T, sys.alphabet_size))
     return counts
 
 

@@ -102,9 +102,10 @@ def _torus_ratios_from_draws(sys, r, ns, u):
     return accepted, ratios
 
 
-# probe cells (rows x window width) per vector pass of the batched shift route:
-# enough rows to amortize numpy's per-call cost, few enough that a block's
-# arrays stay at a few MB and peak memory stays flat on wide windows
+# probe cells (rows x columns the window plan reads) per vector pass of the
+# batched shift route: enough rows to amortize numpy's per-call cost, few
+# enough that a block's arrays stay at a few MB and peak memory stays flat on
+# wide windows
 _SHIFT_BLOCK_CELLS = 1 << 18
 
 
@@ -289,9 +290,10 @@ def lipschitz_table(
         lo, width = points[0].lo, points[0].symbols.size
         if any((x.lo, x.symbols.size) != (lo, width) for x in points):
             raise ValueError("shift points must all be stored on one window")
-        # blocks bounded by probe cells of the stored window
-        per_block = max(1, _SHIFT_BLOCK_CELLS // (probes * width))
         plan = _shift_window_plan(sys, r, lo, lo + width - 1, max(ns))
+        first, last = plan[3]
+        # blocks bounded by probe cells of the columns the plan reads
+        per_block = max(1, _SHIFT_BLOCK_CELLS // (probes * (last - first + 1)))
 
         def block_ratios(block):
             return _shift_block_ratios(sys, block, r, ns, probes, itertools.islice(rngs, len(block)), plan)

@@ -598,13 +598,69 @@ def sample_symbol_block(oracle: MeasureOracle, length: int, count: int, rng, aft
     if isinstance(oracle, BernoulliIID):
         return rng.choice(oracle.alphabet_size, size=(count, length), p=oracle.p).astype(np.int8)
     if isinstance(oracle, MarkovStationary):
-        out = np.empty((count, length), dtype=np.int8)
-        cum_f = np.cumsum(oracle.P, axis=1)
-        first = np.cumsum(oracle.pi_vec) if after is None else cum_f[after]
+        # a symbol counts the cumulative columns at or below its uniform; the
+        # last column is the row sum, 1, and a uniform at or above it (possible
+        # only where the sum rounds below 1) would name no symbol, so it is dropped
+        cum_f = np.cumsum(oracle.P, axis=1)[:, :-1]
+        first = np.cumsum(oracle.pi_vec)[:-1] if after is None else cum_f[after]
         u = rng.random((count, length))
+        out = np.empty((count, length), dtype=np.int8)
         out[:, 0] = (u[:, 0:1] >= first).sum(axis=1)
-        for t in range(1, length):
-            rows = cum_f[out[:, t - 1]]
-            out[:, t] = (u[:, t : t + 1] >= rows).sum(axis=1)
+        steps = length - 1
+        if steps > 0:
+            table = _next_symbol_table(cum_f, u[:, 1:], math.isqrt(steps - 1) + 1)
+            del u  # the walk reads only the table
+            out[:, 1:] = _blocked_walk(table, out[:, 0])[:, :steps]
         return out
     raise UnsupportedOracle(f"{type(oracle).__name__} cannot sample symbol blocks")
+
+
+def _next_symbol_table(cum: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+    """table[i, s, p, j]: the symbol after state s at step j * size + i of row p of ``u``.
+
+    Each entry adds up ``u >= cum[s, c]`` one column c at a time, the per-step
+    categorical draw itself; steps past the end of ``u`` read symbol 0.
+    """
+    count, steps = u.shape
+    blocks = -(-steps // size)
+    table = np.empty((size, len(cum), count, blocks), dtype=np.int8)
+    nxt = np.empty((count, blocks * size), dtype=np.int8)
+    for s, row in enumerate(cum):
+        nxt[:] = 0
+        for c in row:
+            nxt[:, :steps] += u >= c
+        table[:, s] = nxt.reshape(count, blocks, size).transpose(2, 0, 1)
+    return table
+
+
+def _blocked_walk(table: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """walked[p, t]: the symbol at step t of row p, walked through ``_next_symbol_table``.
+
+    Row p starts from ``start[p]``.  Pass 1 runs every block of steps from every
+    entry state at once, pass 2 chains the blocks' exits in order, which fixes
+    each block's entry state, and pass 3 walks each block once more from it.
+    Every step is one flat gather from the table's contiguous (state, row, block)
+    slice, so the Python loops run over the ~sqrt(L) steps of a block and the
+    ~sqrt(L) blocks, not over the L steps.
+    """
+    size, a, count, blocks = table.shape
+    stride = np.intp(count * blocks)  # flat offset of state s's slice is s * stride
+    flat = table.reshape(size, a * stride)
+    cells = np.arange(stride)  # p * blocks + j
+
+    def walk(states, cells, record=None):
+        for i, step in enumerate(flat):
+            states = step[states * stride + cells]
+            if record is not None:
+                record[:, :, i] = states.reshape(count, blocks)
+        return states
+
+    exits = walk(np.repeat(np.arange(a, dtype=np.int8), stride), np.tile(cells, a))
+    entry = np.empty((count, blocks), dtype=np.int8)
+    state, rows = start, cells[::blocks]
+    for j in range(blocks):
+        entry[:, j] = state
+        state = exits[state * stride + rows + j]
+    walked = np.empty((count, blocks, size), dtype=np.int8)
+    walk(entry.ravel(), cells, walked)
+    return walked.reshape(count, blocks * size)

@@ -393,27 +393,39 @@ class SmbReport:
     per_path_final: list
 
 
+# transition indices gathered per row chunk of ``_conditional_block_log_mass``
+_INDEX_CELLS = 1 << 17
+
+
 def _conditional_block_log_mass(cond: ConditionalShiftOracle, blocks: np.ndarray) -> np.ndarray:
     """log mu_x of the cylinder 0..N-1 on each row, cumulatively for every prefix.
 
     Returns an array of shape (paths, N): column N-1 is the log-mass of the
     length-N prefix.  Matches fixed_coords_log_measure on the conditional
-    oracle (tested), evaluated via cumulative sums for speed.
+    oracle (tested).  Step t reads log P[x_{t-1}, x_t], step 0 from the last
+    conditioned state (every row of P is p on a Bernoulli oracle), gathered
+    with one transition index per row chunk and summed in place.
     """
     base = cond.base
-    count, length = blocks.shape
     if isinstance(base, BernoulliIID):
-        logs = np.log(base.p)[blocks]
-        return np.cumsum(logs, axis=1)
-    if isinstance(base, MarkovStationary):
-        logP = np.where(base.P > 0.0, np.log(np.where(base.P > 0.0, base.P, 1.0)), -np.inf)
-        state0 = cond.fixed[-1]
-        first = logP[state0, blocks[:, 0]]
-        if length == 1:
-            return first[:, None]
-        steps = logP[blocks[:, :-1], blocks[:, 1:]]
-        return np.cumsum(np.concatenate([first[:, None], steps], axis=1), axis=1)
-    raise UnsupportedOracle(f"no conditional block mass for {type(base).__name__}")
+        P = np.tile(base.p, (base.alphabet_size, 1))
+    elif isinstance(base, MarkovStationary):
+        P = base.P
+    else:
+        raise UnsupportedOracle(f"no conditional block mass for {type(base).__name__}")
+    log_p = np.where(P > 0.0, np.log(np.where(P > 0.0, P, 1.0)), -np.inf).ravel()
+    count, length = blocks.shape
+    out = np.empty((count, length))
+    chunk = max(1, _INDEX_CELLS // length)  # rows per chunk: the intp index stays ~1 MB
+    for lo in range(0, count, chunk):
+        rows = blocks[lo : lo + chunk]
+        index = np.empty(rows.shape, dtype=np.intp)
+        index[:, 0] = cond.fixed[-1]
+        index[:, 1:] = rows[:, :-1]
+        index *= len(P)
+        index += rows
+        out[lo : lo + chunk] = log_p[index]
+    return np.cumsum(out, axis=1, out=out)
 
 
 def local_smb_check(

@@ -15,6 +15,7 @@ import pytest
 from ergodim.dimension import (
     PointCloud,
     _cloud_box_counts,
+    _distinct_rows,
     _fit_line,
     _lattice_ladder,
     _symbolic_box_radius,
@@ -396,6 +397,49 @@ def test_packed_symbolic_box_counts_match_unique_rows(alphabet):
         want.append(np.unique(S[:, -k - lo : k - lo + 1], axis=0).shape[0])
     assert _cloud_box_counts(cloud, shift, scales) == want
     assert want[-1] == 500  # the deepest window separates every distinct row
+
+
+def _unique_rows(block):
+    return np.unique(block, axis=0).shape[0] if block.shape[1] else min(len(block), 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_occupancy_counts_match_unique_rows(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 3000))
+    for radix, width, dtype in [(2, 12, np.int8), (3, 30, np.int8), (None, 3, np.int64)]:
+        hi = radix if radix is not None else 2**45
+        block = rng.integers(-hi if radix is None else 0, hi, size=(rows, width)).astype(dtype)
+        block[rows // 2 :] = block[: rows - rows // 2]  # repeated rows
+        assert _distinct_rows(block, radix) == _unique_rows(block)
+
+
+def test_occupancy_counts_at_the_bound_and_past_it():
+    rng = np.random.default_rng(7)
+    # 1000 rows: the bound is 2^16 packed values, so 16 binary columns fill it
+    # exactly and the 17th and later ones force re-ranking
+    block = rng.integers(0, 2, size=(1000, 80)).astype(np.int8)
+    block[500:] = block[:500]
+    for width in (15, 16, 17, 80):
+        assert _distinct_rows(block[:, :width], 2) == _unique_rows(block[:, :width])
+    # one column whose range is exactly the bound, and one past it (packed digit by digit)
+    for top in (1 << 16, (1 << 16) + 1, 1 << 40):
+        col = np.concatenate([[0, top - 1], rng.integers(0, top, size=998)])[:, None]
+        assert _distinct_rows(np.hstack([col, col % 3]), None) == _unique_rows(np.hstack([col, col % 3]))
+    assert _distinct_rows(np.zeros((5, 0), dtype=np.int8), 2) == 1  # no columns: one box
+    assert _distinct_rows(block[:1], 2) == 1
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_torus_box_counts_match_the_whole_array_minimum(cat, cat_cloud, shift):
+    _, cloud = cat_cloud
+    scales = default_scales(cat, 0.05)
+    P = cloud.torus_coords()
+    want = []
+    for eps in scales:
+        idx = np.floor((P + shift * eps) / eps).astype(np.int64)
+        want.append(_unique_rows(idx - idx.min(axis=0)))
+    assert _cloud_box_counts(cloud, cat, scales, origin_shift=shift) == want
 
 
 def _reference_dyadic_cloud_rows(sys, x, delta, back_horizon, budget, tol):

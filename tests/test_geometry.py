@@ -447,6 +447,23 @@ def _assert_table_matches(sys, xs, r, ns, probes, first_index):
     assert (accepted > 0).any()
 
 
+def _columns_read(sys, r, ns):
+    _, _, _, (first, last) = _shift_window_plan(sys, r, -sys.window, sys.window, max(ns))
+    return last - first + 1
+
+
+def _spy_on_blocks(monkeypatch):
+    sizes = []
+    real = geometry._shift_block_ratios
+
+    def spy(sys, xs, *args):
+        sizes.append(len(xs))
+        return real(sys, xs, *args)
+
+    monkeypatch.setattr(geometry, "_shift_block_ratios", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("name", sorted(_SHIFTS))
 @pytest.mark.parametrize("first_index", [0, 17])
 def test_shift_blocks_match_per_point_loop(monkeypatch, name, first_index):
@@ -455,16 +472,20 @@ def test_shift_blocks_match_per_point_loop(monkeypatch, name, first_index):
     xs = [sample_point(sys, _MARKOV, 12, i) for i in range(7)]
     _assert_table_matches(sys, xs[:1], r, ns, probes, first_index)
     # three points per block: blocks of 3, 3 and 1
-    monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 3 * probes * xs[0].symbols.size)
+    monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 3 * probes * _columns_read(sys, r, ns))
+    sizes = _spy_on_blocks(monkeypatch)
     _assert_table_matches(sys, xs, r, ns, probes, first_index)
+    assert sizes == [3, 3, 1]
 
 
-def test_shift_blocks_match_per_point_loop_at_the_default_cap():
+def test_shift_blocks_match_per_point_loop_at_the_default_cap(monkeypatch):
     sys, r, ns = _SHIFTS["dyadic"]
     probes = 48
-    per_block = geometry._SHIFT_BLOCK_CELLS // (probes * (2 * sys.window + 1))
+    per_block = geometry._SHIFT_BLOCK_CELLS // (probes * _columns_read(sys, r, ns))
     xs = [sample_point(sys, _MARKOV, 13, i) for i in range(per_block + 2)]  # straddles a block
+    sizes = _spy_on_blocks(monkeypatch)
     _assert_table_matches(sys, xs, r, ns, probes, 0)
+    assert sizes == [per_block, 2]
 
 
 def test_shift_points_on_two_windows_are_rejected(bern_half):

@@ -184,6 +184,42 @@ def test_markov_sampling_matches_stationary_law(markov):
     assert abs(f01 - markov.P[0, 1]) < 0.01
 
 
+def _symbol_block_reference(oracle, length, count, rng, after=None):
+    """The per-step walk: one categorical draw per time step, all rows at once."""
+    out = np.empty((count, length), dtype=np.int8)
+    cum_f = np.cumsum(oracle.P, axis=1)
+    first = np.cumsum(oracle.pi_vec) if after is None else cum_f[after]
+    u = rng.random((count, length))
+    out[:, 0] = (u[:, 0:1] >= first).sum(axis=1)
+    for t in range(1, length):
+        out[:, t] = (u[:, t : t + 1] >= cum_f[out[:, t - 1]]).sum(axis=1)
+    return out
+
+
+_WALK_CHAINS = {
+    "two-state": ((0.7, 0.3), (0.4, 0.6)),
+    "cyclic": ((0.1, 0.8, 0.1), (0.1, 0.1, 0.8), (0.8, 0.1, 0.1)),
+    # zero transitions tie neighbouring cumulative columns
+    "zeros": ((0.5, 0.5, 0.0), (0.0, 0.25, 0.75), (0.5, 0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_WALK_CHAINS))
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 333, 4000, 10_000])
+@pytest.mark.parametrize("after", [None, 2])
+def test_blocked_markov_walk_matches_per_step_loop(chain, length, after):
+    oracle = MarkovStationary(_WALK_CHAINS[chain])
+    after = None if after is None else after % oracle.alphabet_size
+    count = 40 if length == 10_000 else 23
+    rng, want_rng = rng_for(9, length), rng_for(9, length)
+    got = sample_symbol_block(oracle, length, count, rng, after=after)
+    want = _symbol_block_reference(oracle, length, count, want_rng, after=after)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    # both drew the same uniforms: the generators end in the same state
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_lebesgue_sampling_uniform(cat, lebesgue):
     pts = sample_points(cat, lebesgue, 7, 100_000)
     xs = np.array([p.x for p in pts])

@@ -8,6 +8,7 @@ top coordinate of the chain must not advance (for a one-sided-window chain
 the least admissible translation at level q is q - 1).
 """
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -357,6 +358,20 @@ def test_markov_smb_converges(dyadic_shift, markov):
     rep = local_smb_check(dyadic_shift, markov, x, [400, 800, 1200, 1600], paths=200, seed=2)
     assert rep.rel_error < 0.01
     assert len(rep.per_path_final) == 200
+
+
+def test_markov_smb_peak_memory_at_bench_scale(dyadic_shift, markov):
+    # 200 paths x 10^4 steps: the uniforms alone are 16 MB, and they are freed
+    # before the walk; the log-masses (16 MB) are gathered in row chunks and
+    # summed in place, so nothing else of that size is alive beside them
+    x = sample_point(dyadic_shift, markov, master_seed=9)
+    tracemalloc.start()
+    try:
+        local_smb_check(dyadic_shift, markov, x, [2500, 5000, 7500, 10_000], paths=200, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_smb_schedule_validation(dyadic_shift, bern_half):
