@@ -72,9 +72,10 @@ class PointCloud:
     """Points admitted into the delta-local unstable set of a base point.
 
     ``rows`` is the one stored representation: for torus clouds an (N, 2)
-    int64 array of dyadic grid integers, for shift clouds an (N, width) int8
-    symbol matrix whose column 0 is coordinate ``lo``.  Point objects are
-    built only on access, through ``points``.
+    int64 array of dyadic grid integers, for shift clouds an (N, depth) int8
+    matrix of the admitted words on the varied coordinates lo..lo + depth - 1;
+    off them every point agrees with ``base``.  Point objects are built only
+    on access, through ``points``.
     """
 
     rows: np.ndarray
@@ -87,7 +88,6 @@ class PointCloud:
     rejected: int
     lo: int = 0  # shift clouds: coordinate of column 0 of ``rows``
     collinearity_residual: float | None = None
-    varied_window: tuple | None = None  # (first coord, depth) for shift clouds
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -126,10 +126,14 @@ class _CloudPoints(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        row = self._cloud.rows[i]
-        if self._cloud.kind == "torus":
+        cloud = self._cloud
+        row = cloud.rows[i]
+        if cloud.kind == "torus":
             return TorusPoint.from_ints(int(row[0]), int(row[1]))
-        return SymbolicPoint(row.copy(), self._cloud.lo)
+        symbols = cloud.base.symbols.copy()
+        start = cloud.lo - cloud.base.lo
+        symbols[start : start + row.size] = row
+        return SymbolicPoint(symbols, cloud.base.lo)
 
 
 @dataclass
@@ -338,8 +342,7 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
     d = shift_orbit_distances(sys, words != base_word[None, :], int(var_coords[0]), -np.asarray(steps))
     # the base point's own word is at distance 0, so at least one row is admitted
     keep = np.flatnonzero((d <= delta).all(axis=1) & (d[:, -1] <= tol))
-    rows = np.repeat(x.symbols[None, :], len(keep), axis=0)
-    rows[:, var_coords - x.lo] = words[keep]
+    rows = words[keep]
     return PointCloud(
         rows=rows,
         base=x,
@@ -349,8 +352,7 @@ def _shift_unstable_cloud(sys: FullShift, x, delta, back_horizon, budget, tol):
         kind="shift",
         admitted=len(rows),
         rejected=int(len(words) - len(rows)),
-        lo=x.lo,
-        varied_window=(int(var_coords[0]), depth),
+        lo=int(var_coords[0]),
         diagnostics={"m_delta": m_delta, "alphabet": a, "inverted": sys.inverted},
     )
 
@@ -360,11 +362,20 @@ def default_delta(sys) -> float:
     return 0.05 if isinstance(sys, ToralAutomorphism) else 0.5
 
 
-def default_scales(sys, delta: float) -> list:
-    """Box-counting scales used when none are given: six octaves from delta/4, or 2^-2..2^-9."""
+def default_scales(sys, delta: float, budget: int) -> list:
+    """Box-counting scales used when none are given: six octaves from delta/4, or 2^-2..2^-9.
+
+    On the dyadic metric a cloud of ``budget`` points varies at most depth
+    coordinates, with a^depth <= budget, so its counts saturate at 2^-k once
+    a^k > budget: the scales stop at the largest such k <= 9.
+    """
     if isinstance(sys, ToralAutomorphism):
         return [delta * 2.0 ** (-j) for j in range(2, 8)]
-    return [2.0 ** (-k) for k in range(2, 10)]
+    finest = 9
+    if isinstance(sys.metric, DyadicMetric):
+        while finest > 1 and sys.alphabet_size**finest > budget:
+            finest -= 1
+    return [2.0 ** (-k) for k in range(2, finest + 1)]
 
 
 def sample_unstable_set(
@@ -464,19 +475,14 @@ def _cloud_box_counts(cloud: PointCloud, sys, scales, origin_shift: float = 0.0)
             idx = np.floor((P + origin_shift * eps) / eps).astype(np.int64)
             counts.append(_distinct_rows(idx.T))
     else:
-        S = cloud.rows
-        lo = cloud.lo
-        radii = [_symbolic_box_radius(sys, eps) for eps in scales]
-        c0, c1 = max(-max(radii), lo), min(max(radii), lo + S.shape[1] - 1)
-        # the widest box reads columns c0..c1; those constant across the cloud
-        # cannot split a box, so only the varying ones are kept, one row each
-        window = S[:, c0 - lo : c1 - lo + 1]
-        varies = np.flatnonzero((window != window[0]).any(axis=0))
-        coords = c0 + varies
-        free = np.ascontiguousarray(window[:, varies].T)
-        for k in radii:
+        # a box at radius k reads coordinates -k..k; off the stored words every
+        # point agrees with the base, so only the words can split a box
+        words = np.ascontiguousarray(cloud.rows.T)  # one contiguous row per coordinate
+        coords = cloud.lo + np.arange(len(words))
+        for eps in scales:
+            k = _symbolic_box_radius(sys, eps)
             rows = slice(np.searchsorted(coords, -k), np.searchsorted(coords, k, side="right"))
-            counts.append(_distinct_rows(free[rows].T, sys.alphabet_size))
+            counts.append(_distinct_rows(words[rows].T, sys.alphabet_size))
     return counts
 
 
@@ -777,7 +783,7 @@ def verify_main_inequality(
         )
 
     if scales is None:
-        scales = default_scales(work_sys, delta)
+        scales = default_scales(work_sys, delta, cloud_budget)
 
     slopes = []
     mass_liminfs = []

@@ -35,6 +35,7 @@ from .systems import (
     iterate,
     open_flip_depth,
     resolution_floor,
+    shift_orbit_distances,
     torus_norm_rows,
 )
 from .measures import child_rngs, rng_for, uniform_symbols
@@ -184,11 +185,13 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
     diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
 
     # d(T^j x, T^j y) as ``shift_orbit_distances`` defines it, planned per window;
-    # mismatches move as on the forward shift even when ``sys.inverted``: the
-    # mismatch law of the probes is mirror-symmetric (flip side and random tail
-    # alike), so the ratios have the same law in either direction
+    # mismatches move as on the forward shift even when ``sys.inverted`` (its
+    # steps are negated there): the mismatch law of the probes is mirror-symmetric
+    # (flip side and random tail alike), so the ratios have the same law in
+    # either direction
     if M is None:
-        d = 2.0 ** (-_nearest_mismatch(diff, first, n_max))
+        steps = np.arange(n_max + 1)
+        d = shift_orbit_distances(sys, diff, first, -steps if sys.inverted else steps)
     else:
         # d(T^j x, T^j y)^2 = sum_i a_|i - j| * diff_i, one matmul covers all j;
         # one matmul per point keeps each product the shape it always had
@@ -214,43 +217,6 @@ def _shift_weight_matrix(sys: FullShift, coords, n_max):
     gap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])
     vals = sys.metric.weights.values(int(np.abs(coords).max()) + n_max)
     return vals[gap] * (gap <= sys.window)
-
-
-def _nearest_mismatch(diff: np.ndarray, lo: int, n_max: int) -> np.ndarray:
-    """nearest[p, j] = min |i - j| over coords i with diff[p, i], for j = 0..n_max.
-
-    ``diff`` covers coords lo..hi (lo < 0); rows without a mismatch read inf.
-    One linear scan per row: the last mismatch left of coordinate 0 and the
-    first one right of n_max seed a running last mismatch (from the left) and
-    a running next mismatch (from the right) over the columns 0..n_max.  Every
-    entry is an exact integer, so ``2.0 ** -nearest`` matches a per-j minimum
-    bit for bit.
-    """
-    probes = diff.shape[0]
-    rows = np.arange(probes)
-    c0 = -lo  # column of coordinate 0
-    stored = min(n_max + 1, diff.shape[1] - c0)  # coords 0..n_max inside the window
-    left_side = diff[:, c0 - 1 :: -1]  # coords -1, -2, ..., lo
-    hit = left_side.argmax(axis=1)
-    left = np.where(left_side[rows, hit], -1.0 - hit, -np.inf)
-    right_side = diff[:, c0 + stored :]
-    right = np.full(probes, np.inf)
-    if right_side.shape[1]:
-        hit = right_side.argmax(axis=1)
-        right = np.where(right_side[rows, hit], stored + hit, np.inf)
-    lefts = np.empty((probes, n_max + 1))
-    rights = np.empty((probes, n_max + 1))
-    # a loop over the few columns 0..n_max beats an accumulate along short rows
-    for j in range(n_max + 1):
-        if j < stored:
-            left = np.where(diff[:, c0 + j], j, left)
-        lefts[:, j] = left
-    for j in range(n_max, -1, -1):
-        if j < stored:
-            right = np.where(diff[:, c0 + j], j, right)
-        rights[:, j] = right
-    j = np.arange(n_max + 1, dtype=float)
-    return np.minimum(j - lefts, rights - j)
 
 
 def lipschitz_table(

@@ -412,6 +412,19 @@ def _check_hyperbolic(sys):
                             f"|trace| > 2 at det 1 or trace != 0 at det -1")
 
 
+def _default_scales(sys, opts):
+    """``dimension``'s and ``verify``'s default box-counting scales, refused before any sampling
+    when ``cloud_budget`` leaves fewer than 4 (a dyadic cloud resolves 2^-k only while
+    a^k <= cloud_budget)."""
+    delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
+    scales = default_scales(sys, delta, opts["cloud_budget"])
+    if len(scales) < 4:
+        raise ConfigInvalid(f"field 'cloud_budget': {opts['cloud_budget']} resolves only {len(scales)} "
+                            f"default scales on {sys.alphabet_size} symbols (2^-k needs "
+                            f"{sys.alphabet_size}^k <= cloud_budget), need 4; raise it or give 'scales'")
+    return scales
+
+
 def _run_chi(cfg: ExperimentConfig):
     rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
     sys = build_system(cfg.system, max(ns) + 64)
@@ -627,7 +640,7 @@ def _run_dimension(cfg: ExperimentConfig):
     delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
     scales = opts["scales"]
     if scales is None:
-        scales = default_scales(sys, delta)
+        scales = _default_scales(sys, opts)
         floor = resolution_floor(sys)
         if sum(s > floor for s in scales) < 4:
             raise ConfigInvalid(f"field 'scales': fewer than 4 default scales lie above this system's "
@@ -669,6 +682,8 @@ def _run_verify(cfg: ExperimentConfig):
     _check_hyperbolic(sys)
     if cfg.options["r_schedule"] is not None:
         _check_radii(sys, cfg.options["r_schedule"])
+    if cfg.options["scales"] is None:
+        _default_scales(sys, cfg.options)  # verify_main_inequality takes the same defaults
     oracle = build_oracle(cfg.oracle)
     rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
     payload = {

@@ -365,16 +365,29 @@ def shift_orbit_distances(sys: FullShift, diff, first: int, times) -> np.ndarray
     width = diff.shape[1]
     if isinstance(sys.metric, DyadicMetric):
         # the mismatch nearest to column j (which reaches coordinate 0 after t
-        # steps) is the last one at or left of j or the first one at or right of
-        # it; running maxima of 1-based marks find both, 0 meaning there is none
-        marks = np.arange(1, width + 1, dtype=np.int32)
-        upto = np.maximum.accumulate(diff * marks, axis=1)  # 1 + last mismatch column <= c
-        back = np.maximum.accumulate(diff[:, ::-1] * marks, axis=1)[:, ::-1]  # width - first one >= c
+        # steps) is the last one left of j or the first one at or right of it.
+        # One walk over the columns a..b - 1 that the steps reach finds both,
+        # seeded by the nearest mismatch on each side of them (inf: there is none)
         j = step * np.asarray(times) - first
-        at = np.clip(j, 0, width - 1)
-        left = np.where(upto[:, at] > 0, np.abs(j - (upto[:, at] - 1)), np.inf)
-        right = np.where(back[:, at] > 0, np.abs(width - back[:, at] - j), np.inf)
-        return 2.0 ** -np.minimum(left, right)
+        a = min(max(int(j.min()), 0), width)
+        b = max(min(int(j.max()) + 1, width), a)
+        rows = np.arange(len(diff))
+        # for c = a..b: last[:, c - a] is the last mismatch < c, nxt[:, c - a] the first >= c
+        last = np.full((len(diff), b - a + 1), -np.inf)
+        nxt = np.full((len(diff), b - a + 1), np.inf)
+        if a:
+            hit = diff[:, a - 1 :: -1].argmax(axis=1)
+            last[:, 0] = np.where(diff[rows, a - 1 - hit], a - 1 - hit, -np.inf)
+        if b < width:
+            hit = diff[:, b:].argmax(axis=1)
+            nxt[:, -1] = np.where(diff[rows, b + hit], b + hit, np.inf)
+        for c in range(a, b):
+            last[:, c + 1 - a] = np.where(diff[:, c], c, last[:, c - a])
+        for c in range(b - 1, a - 1, -1):
+            nxt[:, c - a] = np.where(diff[:, c], c, nxt[:, c + 1 - a])
+        # every distance is an exact integer: 2.0 ** -d has the same bits however it is found
+        at = np.clip(j - a, 0, b - a)
+        return 2.0 ** -np.minimum(j - last[:, at], nxt[:, at] - j)
     pos = np.abs(first + np.arange(width)[:, None] - step * np.asarray(times)[None, :])  # [coordinate, step]
     near = np.minimum(pos, sys.window)
     w = sys.metric.weights.values(int(near.max()))[near] * (pos <= sys.window)

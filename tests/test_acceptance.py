@@ -180,6 +180,24 @@ def test_dimension_entropy_exponent_ratio_holds(capsys, cat, shift, fair):
     )
 
 
+def test_verify_holds_on_three_and_four_symbol_dyadic_shifts(capsys):
+    # at defaults the finest scale stops where a^k reaches the cloud budget
+    # (2^-8 on 3 symbols, 2^-6 on 4), so the box counts never saturate
+    rows = []
+    ok = True
+    for a in (3, 4):
+        for seed in (0, 1):
+            rep = run_experiment(ExperimentConfig.from_dict({
+                "task": "verify", "seed": seed, "system": {"kind": "full_shift", "alphabet": a},
+                "oracle": {"kind": "bernoulli", "probs": [1 / a] * a},
+            }))
+            p = rep.payload
+            ok = ok and p["holds"] and abs(p["dim"] - math.log2(a)) <= 0.05
+            rows.append(f"{a} symbols seed {seed}: dim {p['dim']:.4f} vs h/chi {p['ratio']:.4f}")
+    announce(capsys, "verify on uniform 3- and 4-symbol dyadic shifts", ok,
+             "; ".join(rows) + " (dim within 0.05 of log a / log 2, holds)")
+
+
 def test_weighted_metric_zero_exponent_regime(capsys):
     rep = run_experiment(ExperimentConfig.from_dict({"task": "appendix-hilbert", "seed": 0}))
     p = rep.payload

@@ -162,7 +162,7 @@ def test_verify_samples_the_torus_cloud_once(monkeypatch, cat, lebesgue, directi
     )
     assert len(calls) == 1
     work = cat if direction == "forward" else invert(cat)
-    scales = default_scales(work, 0.05)
+    scales = default_scales(work, 0.05, 3000)
     expected = []
     for i in range(5):
         x = sample_point(work, lebesgue, 2, 1000 + i)
@@ -232,7 +232,8 @@ def test_dyadic_cloud_admits_everything(shift_cloud):
     # varying future coordinates can only shrink backward distances, so at
     # delta = 1/2 every enumerated word is admitted
     _, _, x, cloud = shift_cloud
-    assert cloud.varied_window == (1, 13)  # 2^13 = 8192 <= budget < 2^14
+    assert cloud.lo == 1 and cloud.rows.shape == (8192, 13)  # 2^13 = 8192 <= budget < 2^14
+    assert len({row.tobytes() for row in cloud.rows}) == 8192  # every word over coordinates 1..13
     assert cloud.admitted == 8192
     assert cloud.rejected == 0
     assert cloud.diagnostics["m_delta"] == 1
@@ -262,7 +263,7 @@ def test_shift_cloud_budget_below_the_alphabet_is_too_few_points():
     with pytest.raises(TooFewPoints, match="cloud budget 4 is below the alphabet size 5"):
         sample_unstable_set(shift, x, 0.5, back_horizon=40, budget=4)
     cloud = sample_unstable_set(shift, x, 0.5, back_horizon=40, budget=5)
-    assert cloud.varied_window[1] == 1
+    assert cloud.rows.shape[1] == 1
     assert cloud.admitted + cloud.rejected == 5
 
 
@@ -270,7 +271,7 @@ def test_weighted_cloud_admission(weighted_shift, bern_half):
     x = sample_point(weighted_shift, bern_half, 0, 1000)
     cloud = sample_unstable_set(weighted_shift, x, 0.5, back_horizon=20, budget=512)
     assert cloud.admitted >= 1
-    assert cloud.varied_window[0] == cloud.diagnostics["m_delta"]
+    assert cloud.lo == cloud.diagnostics["m_delta"]
     for p in cloud.points[:: max(1, len(cloud.points) // 8)]:
         xx, yy = x, p
         for i in range(5):
@@ -433,7 +434,7 @@ def test_occupancy_counts_at_the_bound_and_past_it():
 @pytest.mark.parametrize("shift", [0.0, 0.25])
 def test_torus_box_counts_match_the_whole_array_minimum(cat, cat_cloud, shift):
     _, cloud = cat_cloud
-    scales = default_scales(cat, 0.05)
+    scales = default_scales(cat, 0.05, 10_000)
     P = cloud.torus_coords()
     want = []
     for eps in scales:
@@ -474,7 +475,7 @@ def _reference_dyadic_cloud_rows(sys, x, delta, back_horizon, budget, tol):
         syms = x.symbols.copy()
         syms[var_coords - x.lo] = words[i]
         rows.append(syms)
-    return np.stack(rows), len(words) - len(rows)
+    return np.stack(rows), len(words) - len(rows), int(var_coords[0])
 
 
 @pytest.mark.parametrize("inverted", [False, True])
@@ -482,19 +483,66 @@ def _reference_dyadic_cloud_rows(sys, x, delta, back_horizon, budget, tol):
 def test_first_mismatch_admission_matches_dense_tensor(inverted, delta, tol):
     shift = FullShift(alphabet_size=2, metric=DyadicMetric(), window=64, inverted=inverted)
     x = sample_point(shift, BernoulliIID((0.5, 0.5)), 3, 1000)
-    rows_ref, rejected_ref = _reference_dyadic_cloud_rows(shift, x, delta, 40, 2048, tol)
+    rows_ref, rejected_ref, start = _reference_dyadic_cloud_rows(shift, x, delta, 40, 2048, tol)
     cloud = sample_unstable_set(
         shift, x, delta, back_horizon=40, budget=2048, admission_tolerance=tol
     )
-    assert np.array_equal(cloud.rows, rows_ref)
+    depth = cloud.rows.shape[1]
+    assert cloud.lo == start
+    assert np.array_equal(cloud.rows, rows_ref[:, start - x.lo : start - x.lo + depth])
     assert cloud.rejected == rejected_ref
-    assert cloud.lo == x.lo
+    assert np.array_equal(np.stack([p.symbols for p in cloud.points]), rows_ref)
     assert cloud.points[-1] == SymbolicPoint(rows_ref[-1], x.lo)
+
+
+_ROUND_TRIP = {
+    "dyadic": (FullShift(window=64), 0.25, [2.0**-k for k in range(1, 15)]),
+    "dyadic-inverted": (FullShift(window=64, inverted=True), 0.5, [2.0**-k for k in range(1, 15)]),
+    "weighted-3-symbols": (FullShift(alphabet_size=3, metric=WeightedL2Metric(), window=64), 0.5,
+                           [0.8, 0.6, 0.5, 0.45, 0.4, 0.35, 0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_TRIP))
+def test_shift_cloud_points_round_trip_through_their_words(name):
+    # a shift cloud stores only its words: every point is the base point with
+    # its word pasted over the varied coordinates, and box counts over the
+    # words equal distinct full rows on each box's coordinates
+    sys, delta, scales = _ROUND_TRIP[name]
+    a = sys.alphabet_size
+    x = sample_point(sys, BernoulliIID((1 / a,) * a), 5, 1000)
+    cloud = sample_unstable_set(sys, x, delta, back_horizon=20, budget=729)
+    assert cloud.admitted > 100
+    varied = np.arange(cloud.lo, cloud.lo + cloud.rows.shape[1]) - x.lo
+    kept = np.ones(x.symbols.size, dtype=bool)
+    kept[varied] = False
+    points = list(cloud.points)
+    assert all(p.lo == x.lo for p in points)
+    full = np.stack([p.symbols for p in points])
+    assert (full[:, kept] == x.symbols[kept]).all()
+    assert np.array_equal(full[:, varied], cloud.rows)
+    want = []
+    for eps in scales:
+        k = _symbolic_box_radius(sys, eps)
+        want.append(np.unique(full[:, max(-k - x.lo, 0) : k - x.lo + 1], axis=0).shape[0])
+    assert len(set(want)) > 2  # the scales cut through the varied coordinates
+    assert _cloud_box_counts(cloud, sys, scales) == want
 
 
 # ---------------------------------------------------------------------------
 # box-counting dimension
 # ---------------------------------------------------------------------------
+
+
+def test_dyadic_default_scales_stop_where_the_cloud_saturates(weighted_shift):
+    # the finest default scale is 2^-k for the largest k <= 9 with a^k <= budget
+    finest = {(2, 10_000): 9, (2, 512): 9, (2, 511): 8, (2, 100): 6,
+              (3, 10_000): 8, (3, 6561): 8, (3, 6560): 7, (4, 10_000): 6, (127, 10_000): 1}
+    for (a, budget), k in finest.items():
+        assert default_scales(FullShift(alphabet_size=a), 0.5, budget) == [2.0**-j for j in range(2, k + 1)]
+    # the weighted metric and the torus keep their scales
+    assert default_scales(weighted_shift, 0.5, 100) == [2.0**-j for j in range(2, 10)]
+    assert default_scales(ToralAutomorphism(), 0.05, 100) == [0.05 * 2.0**-j for j in range(2, 8)]
 
 
 def test_torus_line_cloud_slope_near_one(cat, cat_cloud):
@@ -658,7 +706,7 @@ def test_cloud_admits_the_words_distance_admits_on_three_symbols():
     x = sample_point(sys, BernoulliIID((1 / 3,) * 3), 0, 1000)
     delta, horizon = 0.5, 12
     cloud = sample_unstable_set(sys, x, delta, back_horizon=horizon, budget=81)
-    start, depth = cloud.varied_window
+    start, depth = cloud.lo, cloud.rows.shape[1]
     admitted = {row.tobytes() for row in cloud.rows}
     for word in itertools.product(range(3), repeat=depth):
         symbols = x.symbols.copy()
@@ -666,7 +714,7 @@ def test_cloud_admits_the_words_distance_admits_on_three_symbols():
         y = SymbolicPoint(symbols, x.lo)
         d = [distance(sys, iterate(sys, x, -i), iterate(sys, y, -i)) for i in range(horizon + 1)]
         ok = max(d) <= delta and d[-1] <= cloud.admission_tolerance
-        assert ok == (symbols.tobytes() in admitted), word
+        assert ok == (np.array(word, dtype=np.int8).tobytes() in admitted), word
     assert 0 < cloud.admitted < 3**depth
 
 

@@ -16,7 +16,6 @@ from ergodim.geometry import (
     _TORUS_BLOCK_ROWS,
     InclusionReport,
     _draw_flip_probes,
-    _nearest_mismatch,
     _shift_block_ratios,
     _shift_probe_symbols,
     _shift_weight_matrix,
@@ -238,12 +237,19 @@ def _nearest_reference(diff, lo, n_max):
     return nearest
 
 
+_FORWARD = FullShift(alphabet_size=2)
+
+
+def _forward_distances(diff, lo, n_max):
+    """d(T^j x, T^j y) for j = 0..n_max through the one nearest-mismatch scan."""
+    return shift_orbit_distances(_FORWARD, diff, lo, range(n_max + 1))
+
+
 def _assert_nearest_matches(diff, lo, n_max):
-    got = _nearest_mismatch(diff, lo, n_max)
-    want = _nearest_reference(diff, lo, n_max)
+    got = _forward_distances(diff, lo, n_max)
+    want = 2.0 ** -_nearest_reference(diff, lo, n_max)
     assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # bit for bit, inf included
-    assert (2.0 ** -got).tobytes() == (2.0 ** -want).tobytes()
+    assert got.tobytes() == want.tobytes()  # bit for bit, rows without a mismatch included
 
 
 @pytest.mark.parametrize("inverted", [False, True])
@@ -274,9 +280,9 @@ def test_nearest_mismatch_matches_reference_on_edge_rows():
         rows.append(row)
     diff = np.array(rows)
     _assert_nearest_matches(diff, lo, n_max)
-    got = _nearest_mismatch(diff, lo, n_max)
-    assert np.isinf(got[-1]).all()
-    assert np.isfinite(got[:-1]).all()
+    got = _forward_distances(diff, lo, n_max)
+    assert (got[-1] == 0.0).all()
+    assert (got[:-1] > 0.0).all()
     rng = np.random.default_rng(4)
     for density in (0.01, 0.1, 0.5):
         _assert_nearest_matches(rng.random((64, width)) < density, lo, n_max)
@@ -292,7 +298,7 @@ def test_nearest_mismatch_past_a_small_window(bern_half):
     diff = symbols != x.symbols
     for n_max in (8, 9, 12, 20):
         _assert_nearest_matches(diff, x.lo, n_max)
-    assert np.isfinite(_nearest_mismatch(diff, x.lo, 12)).all()
+    assert (_forward_distances(diff, x.lo, 12) > 0.0).all()
     values, accepted = lipschitz_table(sys, [x], r=0.25, n_schedule=[2, 12], probes=64, seed=1)
     assert np.isfinite(values).all() and (accepted > 0).all()
 
@@ -300,8 +306,8 @@ def test_nearest_mismatch_past_a_small_window(bern_half):
 @pytest.mark.parametrize("metric", [DyadicMetric(), WeightedL2Metric()], ids=["dyadic", "weighted"])
 def test_flip_kernel_plan_gives_the_shared_orbit_distances(metric):
     """The flip kernel's per-window plan against ``shift_orbit_distances`` on forward steps:
-    bit for bit on the dyadic metric; to rounding on the weighted one, whose matmul
-    adds in its own order."""
+    on the dyadic metric the kernel calls it, and it matches the per-j reference bit for
+    bit; on the weighted one the matmul matches it to rounding, as it adds in its own order."""
     sys = FullShift(alphabet_size=3, metric=metric, window=40)
     lo, width, n_max = -40, 81, 12  # steps past the window edge meet its cut-off
     rng = np.random.default_rng(7)
@@ -309,7 +315,7 @@ def test_flip_kernel_plan_gives_the_shared_orbit_distances(metric):
         diff = rng.random((64, width)) < density
         want = shift_orbit_distances(sys, diff, lo, range(n_max + 1))
         if isinstance(metric, DyadicMetric):
-            assert (2.0 ** -_nearest_mismatch(diff, lo, n_max)).tobytes() == want.tobytes()
+            assert (2.0 ** -_nearest_reference(diff, lo, n_max)).tobytes() == want.tobytes()
         else:
             M = _shift_weight_matrix(sys, np.arange(lo, lo + width), n_max)
             np.testing.assert_allclose(np.sqrt(diff.astype(float) @ M), want, rtol=0, atol=1e-12)
@@ -434,8 +440,8 @@ def test_dyadic_columns_hold_every_nearest_mismatch(name):
         diff[row, :, f - lo] = True
         diff[row, np.arange(width), np.arange(width)] = True  # the last row keeps the flip alone
     diff = diff.reshape(-1, width)
-    got = _nearest_mismatch(diff[:, first - lo : last - lo + 1], first, n_max)
-    assert got.tobytes() == _nearest_reference(diff, lo, n_max).tobytes()
+    got = _forward_distances(diff[:, first - lo : last - lo + 1], first, n_max)
+    assert got.tobytes() == (2.0 ** -_nearest_reference(diff, lo, n_max)).tobytes()
 
 
 def _assert_table_matches(sys, xs, r, ns, probes, first_index):

@@ -596,6 +596,25 @@ def test_dimension_default_scales_below_the_floor_are_a_config_error():
     assert len(rep.payload["scales"]) == 4
 
 
+@pytest.mark.parametrize("task", ["dimension", "verify"])
+def test_a_cloud_budget_below_four_default_scales_is_a_config_error(task, monkeypatch):
+    # 3^4 = 81 <= 100 < 3^5: a 100-point cloud resolves only 2^-2..2^-4 on 3 symbols
+    import ergodim.harness as harness
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the refusal must come before any sampling")
+
+    monkeypatch.setattr(harness, "sample_point", no_sampling)
+    monkeypatch.setattr(harness, "verify_main_inequality", no_sampling)
+    three = {"kind": "full_shift", "alphabet": 3}
+    with pytest.raises(ConfigInvalid, match=r"field 'cloud_budget': 100 resolves only 3 default scales"):
+        run({"task": task, "seed": 0, "cloud_budget": 100, "system": three})
+    monkeypatch.undo()
+    if task == "dimension":  # 3^5 = 243 points resolve 2^-2..2^-5, one full octave each
+        rep = run({"task": task, "seed": 0, "cloud_budget": 243, "system": three})
+        assert rep.payload["counts"] == [9, 27, 81, 243]
+
+
 @pytest.mark.parametrize("task", ["chi", "verify"])
 @pytest.mark.parametrize("system", [{"kind": "toral_automorphism"}, {"kind": "torus_translation"}])
 def test_torus_radii_at_or_below_the_floor_are_a_config_error(task, system):

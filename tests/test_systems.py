@@ -26,6 +26,7 @@ from ergodim.systems import (
     iterate,
     operator_norm_power,
     resolution_floor,
+    shift_orbit_distances,
     weighted_tail_bound,
 )
 
@@ -131,6 +132,53 @@ def test_dyadic_distance_first_disagreement(dyadic_shift):
 def test_dyadic_distance_zero_for_equal(dyadic_shift):
     x = SymbolicPoint(np.ones(7, dtype=np.int8), lo=-3)
     assert distance(dyadic_shift, x, x) == 0.0
+
+
+def _dyadic_orbit_reference(sys, diff, first, times):
+    """2^-min|i| over the mismatches i after each step t, one pass per t (0 without one)."""
+    step = -1 if sys.inverted else 1
+    coords = first + np.arange(diff.shape[1])
+    out = np.empty((len(diff), len(times)))
+    for k, t in enumerate(times):
+        # a mismatch at column c sits at coordinate coords[c] - t after t steps (+ t inverted)
+        nearest = np.where(diff, np.abs(coords - step * t)[None, :], np.inf).min(axis=1, initial=np.inf)
+        out[:, k] = 2.0**-nearest
+    return out
+
+
+_TIMES = {
+    "unsorted-repeated": [3, -2, 7, 3, 0, -2, 11],
+    "all-left": [-30, -25, -41],  # every column j = t - first lies left of the matrix
+    "all-past": [40, 33, 52],  # every column lies past the matrix
+    "single": [4],
+    "straddling": list(range(-24, 25, 3)),  # both edges of the matrix at once
+}
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("times", sorted(_TIMES))
+def test_dyadic_orbit_distances_match_a_per_time_reference(inverted, times):
+    sys = FullShift(alphabet_size=3, window=10, inverted=inverted)
+    first, width = -10, 21  # coordinates -10..10
+    rng = np.random.default_rng(11)
+    diff = np.vstack([rng.random((48, width)) < 0.08, np.zeros((3, width), dtype=bool)])
+    diff[-1, [0, -1]] = True  # only the two end columns
+    diff[-2, width // 2] = True  # only coordinate 0
+    got = shift_orbit_distances(sys, diff, first, _TIMES[times])
+    want = _dyadic_orbit_reference(sys, diff, first, _TIMES[times])
+    assert got.tobytes() == want.tobytes()
+    assert (got[-3] == 0.0).all()  # the row without a mismatch
+
+
+def test_dyadic_orbit_distances_on_single_columns():
+    # one column at a time, steps reaching it from either side and on it
+    sys = FullShift()
+    for first in (-3, 0, 5):
+        diff = np.array([[True], [False]])
+        times = [-6, first, first + 1, 9]
+        got = shift_orbit_distances(sys, diff, first, times)
+        assert got.tobytes() == _dyadic_orbit_reference(sys, diff, first, times).tobytes()
+        assert got[0, 1] == 1.0 and (got[1] == 0.0).all()
 
 
 def test_weighted_distance_single_coordinate(weighted_shift):

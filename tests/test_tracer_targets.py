@@ -115,3 +115,28 @@ def test_traced_chi_gives_numeric_layer_metrics(bench_run):
                                          bench_run.threads2_speedup(tracer.chi_calls))
     json.dumps(metrics, allow_nan=False)
     assert None not in metrics.values()
+
+
+@pytest.mark.parametrize("workload", ["cat-map", "markov-shift", "weighted-shift"])
+def test_every_workload_traces_to_numeric_layer_metrics(bench_run, workload):
+    """A traced tiny pass of each workload gives every per-layer metric as a finite number.
+
+    A benchmark result line holding ``null`` or ``NaN`` is not strict JSON, so
+    each metric must survive ``json.dumps(allow_nan=False)``.
+    """
+    assert workload in bench_run.workloads.WORKLOADS
+    tracer = bench_run.spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.run("tier-1"):
+            t0 = time.perf_counter()
+            for raw in bench_run.workloads.configs(workload, 0, tiny=True):
+                run_experiment(ExperimentConfig.from_dict(raw))
+            wall = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    metrics, _ = bench_run.layer_metrics(workload, tracer, [wall], [wall], 0.0,
+                                         bench_run.threads2_speedup(tracer.chi_calls))
+    json.dumps(metrics, allow_nan=False)
+    assert None not in metrics.values()
+    assert set(metrics) == {name for name, _ in bench_run.PER_LAYER}
