@@ -2,11 +2,11 @@
 """Print the payload sha256 of every benchmark workload report.
 
 Usage:
-    python3 scripts/payload_hashes.py [--seeds 0-9] [--threads 1 2] [--tiny]
+    python3 scripts/payload_hashes.py [--seeds 0-9] [--tiny]
 
 Runs each config of ``bench/workloads.py`` (11 reports per seed) in process,
-once per seed and thread count, and prints one line per report:
-``<workload> <task> seed=<s> threads=<t> <sha256 of Report.payload_bytes()>``.
+once per seed, and prints one line per report:
+``<workload> <task> seed=<s> <sha256 of Report.payload_bytes()>``.
 Two trees give the same numbers exactly when this output is the same.
 ``bench/workloads.py`` is read as text and executed, so nothing is written
 under ``bench/``.
@@ -35,25 +35,23 @@ def seed_range(text: str) -> list:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def hashes(seeds, threads, tiny=False):
-    """Yield (workload, task, seed, threads, sha256) for every workload report."""
+def hashes(seeds, tiny=False):
+    """Yield (workload, task, seed, sha256) for every workload report."""
     workloads = load_workloads()
     for name in workloads.WORKLOADS:
         for seed in seeds:
             for cfg in workloads.configs(name, seed, tiny=tiny):
-                for t in threads:
-                    rep = run_experiment(ExperimentConfig.from_dict({**cfg, "threads": t}))
-                    yield name, cfg["task"], seed, t, hashlib.sha256(rep.payload_bytes()).hexdigest()
+                rep = run_experiment(ExperimentConfig.from_dict(cfg))
+                yield name, cfg["task"], seed, hashlib.sha256(rep.payload_bytes()).hexdigest()
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=seed_range, default=[0], help="one seed or a range lo-hi")
-    ap.add_argument("--threads", type=int, nargs="+", default=[1])
     ap.add_argument("--tiny", action="store_true", help="the benchmark's warm-up scale")
     args = ap.parse_args(argv)
-    for name, task, seed, t, digest in hashes(args.seeds, args.threads, args.tiny):
-        print(f"{name} {task} seed={seed} threads={t} {digest}", flush=True)
+    for name, task, seed, digest in hashes(args.seeds, args.tiny):
+        print(f"{name} {task} seed={seed} {digest}", flush=True)
     return 0
 
 

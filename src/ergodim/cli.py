@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", default="json,csv", help="comma-separated output formats (json, csv)"
         )
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
@@ -46,17 +45,16 @@ def main(argv=None) -> int:
         raw = {}
         if args.config is not None:
             raw = json.loads(Path(args.config).read_text())
-        raw.setdefault("task", args.task)
-        if raw["task"] != args.task:
-            print(
-                f"error: config task {raw['task']!r} does not match subcommand {args.task!r}",
-                file=_sys.stderr,
-            )
-            return 1
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.threads is not None:
-            raw["threads"] = args.threads
+        if isinstance(raw, dict):  # anything else is refused by from_dict below
+            raw.setdefault("task", args.task)
+            if raw["task"] != args.task:
+                print(
+                    f"error: config task {raw['task']!r} does not match subcommand {args.task!r}",
+                    file=_sys.stderr,
+                )
+                return 1
+            if args.seed is not None:
+                raw["seed"] = args.seed
         formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
         bad = [f for f in formats if f not in ("json", "csv")]
         if bad:

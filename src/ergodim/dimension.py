@@ -720,7 +720,6 @@ def verify_main_inequality(
     mass_points: int = 5,
     past_depth: int = 8,
     seed: int = 0,
-    threads: int = 1,
 ) -> VerifyReport:
     """Compare a box-dimension proxy of local unstable sets against h / chi.
 
@@ -752,7 +751,6 @@ def verify_main_inequality(
         points=chi_points,
         probes=chi_probes,
         seed=seed,
-        threads=threads,
     )
     chi = chi_est.value
 

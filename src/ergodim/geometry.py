@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,10 @@ def _draw_flip_probes(rng, k_lo, k_hi, alphabet, width, probes):
 
 
 def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, probes):
-    """Probes that agree with x on |i| < k, are forced to differ at +-k, random beyond."""
+    """Probes that agree with x on |i| < k, are forced to differ at +-k, random beyond.
+
+    Returns (symbols[probes, width], the flip coordinates +-k).
+    """
     a = sys.alphabet_size
     ks, sides, rand, offset = _draw_flip_probes(rng, k_lo, k_hi, a, x.symbols.size, probes)
     # randomize everything at |coord| >= k, then force the chosen flip at side*k
@@ -129,7 +133,7 @@ def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, prob
     base = np.where(outside, rand, x.symbols[None, :])
     flip_pos = sides * ks - x.lo
     base[np.arange(probes), flip_pos] = (x.symbols[flip_pos] + offset) % a
-    return base, ks
+    return base, sides * ks
 
 
 def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
@@ -227,29 +231,29 @@ def lipschitz_table(
     probes: int,
     seed: int,
     r_tag: int = 0,
-    first_index: int = 0,
+    threads: int = 1,
 ):
     """Batched L_n^r estimates: values[point, n_index], NaN where no probe accepted.
 
     Each point gets its own derived generator (seed, r_tag, point index), and
     one probe block is drawn per point and reused across the n-schedule, so
-    results are independent of evaluation order and of threading.  A caller
-    that passes a contiguous slice of a larger point list gives the slice's
-    first index as ``first_index``, so every point keeps its own generator.
-    The generators are seeded in one batch (``child_rngs``) per call.  Shift
-    points must all be stored on one window (``ValueError`` otherwise).
+    results are independent of evaluation order and of ``threads``.  The points
+    run in at most ``threads`` contiguous chunks (never more than the machine
+    has cores); each chunk seeds its generators in one batch (``child_rngs``)
+    and walks its points in blocks, and more than one chunk runs on a thread
+    pool.  Shift points must all be stored on one window (``ValueError``
+    otherwise).
     """
     ns = [int(n) for n in n_schedule]
     values = np.full((len(points), len(ns)), np.nan)
     accepted_counts = np.zeros((len(points), len(ns)), dtype=int)
     if not points:
         return values, accepted_counts
-    rngs = child_rngs(seed, r_tag, start=first_index, stop=first_index + len(points))
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         # the torus kernel ignores x: stack the per-point draws, one vector pass per block
         per_block = max(1, _TORUS_BLOCK_ROWS // probes)
 
-        def block_ratios(block):
+        def block_ratios(block, rngs):
             u = np.concatenate([next(rngs).random((probes, 2)) for _ in block])
             return _torus_ratios_from_draws(sys, r, ns, u)
     elif isinstance(sys, FullShift):
@@ -261,15 +265,29 @@ def lipschitz_table(
         # blocks bounded by probe cells of the columns the plan reads
         per_block = max(1, _SHIFT_BLOCK_CELLS // (probes * (last - first + 1)))
 
-        def block_ratios(block):
+        def block_ratios(block, rngs):
             return _shift_block_ratios(sys, block, r, ns, probes, itertools.islice(rngs, len(block)), plan)
     else:
         raise NotImplementedError(f"no probe kernel for {type(sys).__name__}")
-    for start in range(0, len(points), per_block):
-        block = points[start : start + per_block]
-        acc, rat = (a.reshape(len(block), probes, len(ns)) for a in block_ratios(block))
-        accepted_counts[start : start + len(block)] = acc.sum(axis=1)
-        values[start : start + len(block)] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
+
+    def run_chunk(begin, end):
+        rngs = child_rngs(seed, r_tag, start=begin, stop=end)
+        for start in range(begin, end, per_block):
+            block = points[start : min(start + per_block, end)]
+            acc, rat = (a.reshape(len(block), probes, len(ns)) for a in block_ratios(block, rngs))
+            accepted_counts[start : start + len(block)] = acc.sum(axis=1)
+            values[start : start + len(block)] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
+
+    # more workers than cores buy nothing, and a large ``threads`` must not start that many
+    chunks = min(threads, len(points), os.cpu_count() or 1)
+    if chunks <= 1:
+        run_chunk(0, len(points))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = [len(points) * c // chunks for c in range(chunks + 1)]
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
     return values, accepted_counts
 
 
@@ -385,13 +403,14 @@ def _shift_inclusion_sample(sys, x, radius, eps, n, probes, rng):
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow("no flip depth available inside the window at this radius")
-    symbols, _ = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
-    for row in symbols:
+    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
+    for row, flip in zip(symbols, flips):
         y = SymbolicPoint(row, x.lo)
         if distance(sys, x, y) >= radius or distance(sys, x, y) == 0.0:
             continue  # outside the open ball (or indistinguishable); not a candidate
         if not bowen_ball_contains(sys, x, y, n, eps):
             violations += 1
             if witness is None:
-                witness = {"flip_point_lo": int(y.lo)}
+                worst = shift_orbit_distances(sys, (row != x.symbols)[None], x.lo, np.arange(n)).max()
+                witness = {"flip_coordinate": int(flip), "worst_distance": float(worst)}
     return violations, witness

@@ -143,9 +143,6 @@ def _int_window(v):
 _RADII = _schedule(-1, "radius", "(0, inf)")
 _LENGTHS = _schedule(1, "n", "[1, inf)", integers=True)
 _POSITIVE_REAL = _number("(0, inf)")
-# the keys every task takes besides task, system and oracle: name -> (default, type);
-# seed has no default and is required
-_COMMON_OPTIONS = {"seed": (None, _int(0)), "threads": (1, _int(1))}
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,6 @@ class ExperimentConfig:
     system: dict
     oracle: dict
     options: dict = field(default_factory=dict)
-    threads: int = 1
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -181,7 +177,7 @@ class ExperimentConfig:
         task = raw.get("task")
         if task not in TASKS:
             raise ConfigInvalid(f"field 'task': expected one of {sorted(TASKS)}, got {task!r}")
-        typed = {**_COMMON_OPTIONS, **TASKS[task].options}
+        typed = {"seed": (None, _int(0)), **TASKS[task].options}  # every task takes the seed
         allowed = {"task", "system", "oracle"} | set(typed)
         unknown = sorted(set(raw) - allowed)
         if unknown:
@@ -197,7 +193,7 @@ class ExperimentConfig:
             error = check(options[name])
             if error:
                 raise ConfigInvalid(f"field '{name}': {error}")
-        seed, threads = (options.pop(key) for key in _COMMON_OPTIONS)
+        seed = options.pop("seed")
         system = raw.get("system", dict(TASKS[task].systems[0]))
         _validate_descriptor(system, _SYSTEM_KEYS, "system")
         sys = _built("system", build_system, system)
@@ -213,7 +209,7 @@ class ExperimentConfig:
                                 f"got {_family(system)}")
         _check_oracle(sys, measure)
         return ExperimentConfig(task=task, seed=seed, system=system, oracle=oracle,
-                                options=options, threads=threads)
+                                options=options)
 
 
 def _family(desc: dict) -> str:
@@ -363,14 +359,13 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 "seed": cfg.seed,
                 "system": cfg.system,
                 "oracle": cfg.oracle,
-                "threads": cfg.threads,
                 **cfg.options,
             }
         ),
         parameters=_jsonable(parameters),
         payload=_jsonable(payload),
         flags=list(flags),
-        meta={"toolkit_version": __version__, "wall_clock_s": wall, "threads": cfg.threads},
+        meta={"toolkit_version": __version__, "wall_clock_s": wall},
     )
 
 
@@ -425,12 +420,18 @@ def _default_scales(sys, opts):
     return scales
 
 
+def _with_window(sys, params: dict) -> dict:
+    """``params`` plus the window a shift ran on: ``build_system`` raises the configured
+    window to the task's minimum, and the config echo shows the configured one."""
+    return {**params, "window": sys.window} if isinstance(sys, FullShift) else params
+
+
 def _run_chi(cfg: ExperimentConfig):
     rs, ns = cfg.options["r_schedule"], cfg.options["n_schedule"]
     sys = build_system(cfg.system, max(ns) + 64)
     _check_radii(sys, rs)
     oracle = build_oracle(cfg.oracle)
-    est = estimate_chi(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
+    est = estimate_chi(sys, oracle, seed=cfg.seed, **cfg.options)
     payload = {
         "chi": est.value,
         "per_r": [{"r": r, "Lambda": v} for r, v in est.per_r],
@@ -447,7 +448,7 @@ def _run_chi(cfg: ExperimentConfig):
     if est.diagnostics.get("integrability_guard_growth", False):
         flags.append("log L_1 tail growth exceeded the integrability guard")
     params = {"r_schedule": rs, "n_schedule": ns, "probe_floor": "log-uniform above resolution floor"}
-    return payload, params, flags
+    return payload, _with_window(sys, params), flags
 
 
 def _chi_table(p):
@@ -489,7 +490,7 @@ def _run_brin_katok(cfg: ExperimentConfig):
     except HitStarvation as exc:
         flags.append(f"hit starvation: {exc}")
         payload = {"hit_starvation": True, "message": str(exc)}
-        return payload, {"min_hits": opts["min_hits"]}, flags
+        return payload, _with_window(sys, {"min_hits": opts["min_hits"]}), flags
     payload = {
         "lower": rep.lower.value,
         "upper": rep.upper.value,
@@ -505,7 +506,7 @@ def _run_brin_katok(cfg: ExperimentConfig):
         "ball_convention": "open (strict inequality)",
         "proxy": "min/max over trailing half of the n schedule",
     }
-    return payload, params, flags
+    return payload, _with_window(sys, params), flags
 
 
 def _brin_katok_table(p):
@@ -585,7 +586,7 @@ def _run_partition_build(cfg: ExperimentConfig):
         "k_max": plan.diagnostics["k_max"],
         "delta": plan.delta,
     }
-    return payload, params, flags
+    return payload, _with_window(sys, params), flags
 
 
 def _partition_build_table(p):
@@ -622,7 +623,7 @@ def _run_smb_check(cfg: ExperimentConfig):
     if opts["shift_k"] is not None:
         payload["shift_lemma"] = asdict(shift_lemma_check(oracle, x, opts["shift_k"], ns))
     params = {"past_depth": rep.past_depth, "past_convention": "strict past -P..-1"}
-    return payload, params, []
+    return payload, _with_window(sys, params), []
 
 
 def _smb_check_headline(p):
@@ -674,7 +675,7 @@ def _run_dimension(cfg: ExperimentConfig):
         "admission_tolerance": cloud.admission_tolerance,
         "origin_shift_robustness": 0.25,
     }
-    return payload, params, flags
+    return payload, _with_window(sys, params), flags
 
 
 def _run_verify(cfg: ExperimentConfig):
@@ -685,7 +686,7 @@ def _run_verify(cfg: ExperimentConfig):
     if cfg.options["scales"] is None:
         _default_scales(sys, cfg.options)  # verify_main_inequality takes the same defaults
     oracle = build_oracle(cfg.oracle)
-    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, threads=cfg.threads, **cfg.options)
+    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, **cfg.options)
     payload = {
         "direction": rep.direction,
         "h": rep.h_value,
@@ -705,7 +706,7 @@ def _run_verify(cfg: ExperimentConfig):
         "slack_tolerance": _VERIFY_PARAMETERS["slack_tolerance"].default,
         "aggregation": "median over base points",
     }
-    return payload, params, list(rep.flags)
+    return payload, _with_window(sys, params), list(rep.flags)
 
 
 def _verify_table(p):
@@ -737,7 +738,6 @@ def _run_appendix_hilbert(cfg: ExperimentConfig):
         points=opts["points"],
         probes=opts["probes"],
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     delta = opts["delta"]
     cover = unstable_cover_counts(sys, delta, octaves=opts["octaves"])

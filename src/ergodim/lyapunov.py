@@ -11,7 +11,6 @@ diagnostic (the underlying quantity is nonincreasing as r shrinks).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +81,9 @@ def estimate_chi(
     """Estimate chi = lim (1/n) integral log+ L_n^r dmu at shrinking scales.
 
     Sample points are seeded per index; probe blocks are seeded per
-    (scale, point), so the computation is order-independent and reproducible.
+    (scale, point), so the computation is order-independent and reproducible,
+    and ``threads`` (the chunks ``lipschitz_table`` maps over a thread pool)
+    changes no result.
     Points where no probe lands in the Bowen ball are excluded from the
     average and counted in the diagnostics; an entire empty (r, n) cell
     raises ``NoProbeAccepted``.
@@ -101,7 +102,7 @@ def estimate_chi(
     max_log_l1 = -math.inf
     max_log_l1_half = -math.inf
     for ri, r in enumerate(rs):
-        values, accepted = _table_threaded(sys, xs, r, ns, probes, seed, ri, threads)
+        values, accepted = lipschitz_table(sys, xs, r, ns, probes, seed, ri, threads=threads)
         phi = []
         for j, n in enumerate(ns):
             col = values[:, j]
@@ -146,25 +147,3 @@ def estimate_chi(
         sample_count=points,
         diagnostics=diagnostics,
     )
-
-
-def _table_threaded(sys, xs, r, ns, probes, seed, r_tag, threads):
-    # more workers than cores buy nothing, and a large ``threads`` must not start that many
-    threads = min(threads, len(xs), os.cpu_count() or 1)
-    if threads <= 1:
-        return lipschitz_table(sys, xs, r, ns, probes, seed, r_tag)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(xs)), threads)
-
-    def work(idx):
-        # per-point seeds (global index) make the result independent of the chunking
-        return lipschitz_table(
-            sys, [xs[i] for i in idx], r, ns, probes, seed, r_tag, first_index=int(idx[0])
-        )
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(work, chunks))
-    values = np.concatenate([v for v, _ in parts])
-    accepted = np.concatenate([a for _, a in parts])
-    return values, accepted

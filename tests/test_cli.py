@@ -191,11 +191,17 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
         ({"task": "entropy", "seed": 0, "mode": "monte_carlo"},
          "field 'mode': expected one of ['exact']"),
         ({"task": "entropy", "seed": 0, "samples": 1000}, "unknown key(s) for task 'entropy': samples"),
+        # the thread count is estimate_chi's, not a config key
+        ({"task": "chi", "seed": 0, "threads": 2}, "unknown key(s) for task 'chi': threads"),
+        # JSON that is not an object: run as the chi subcommand
+        ([1, 2], "config must be a JSON object"),
+        ("chi", "config must be a JSON object"),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):
     cfg = config_file(doc)
-    rc = main([doc["task"], "--config", cfg, "--out", str(tmp_path / "out")])
+    task = doc["task"] if isinstance(doc, dict) else "chi"
+    rc = main([task, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -238,12 +244,12 @@ def test_seed_flag_fills_and_overrides(tmp_path, config_file):
     assert doc["config"]["seed"] == 7
 
 
-def test_threads_flag_lands_in_config(tmp_path, config_file):
-    cfg = config_file({"task": "entropy", "seed": 0})
-    rc = main(["entropy", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "out")])
-    assert rc == 0
-    doc = json.loads((tmp_path / "out" / "entropy.json").read_text())
-    assert doc["config"]["threads"] == 2
+def test_threads_flag_is_refused(tmp_path, config_file):
+    cfg = config_file({"task": "chi", "seed": 0})
+    with pytest.raises(SystemExit) as exit_:
+        main(["chi", "--config", cfg, "--threads", "2", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_format_selection(tmp_path, config_file, capsys):

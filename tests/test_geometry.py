@@ -6,6 +6,7 @@ sup ratio (2^n at admissible scales), and singular values of A^n for the
 linear torus stretch (for the symmetric cat matrix, |A^n| = lambda^n).
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ergodim.geometry import (
     check_ball_inclusion,
     lipschitz_table,
 )
-from ergodim.lyapunov import _table_threaded, estimate_chi
+from ergodim.lyapunov import estimate_chi
 from ergodim.measures import MarkovStationary, rng_for, sample_point
 from ergodim.systems import (
     DyadicMetric,
@@ -329,28 +330,30 @@ def _probe_ratios(sys, x, r, ns, probes, rng):
     return _shift_block_ratios(sys, [x], r, ns, probes, [rng], plan)
 
 
-def _table_reference(sys, points, r, ns, probes, seed, r_tag, first_index):
+def _table_reference(sys, points, r, ns, probes, seed, r_tag):
     """lipschitz_table as a per-point loop over _probe_ratios."""
     values = np.full((len(points), len(ns)), np.nan)
     counts = np.zeros((len(points), len(ns)), dtype=int)
     for i, x in enumerate(points):
-        acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(seed, r_tag, first_index + i))
+        acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(seed, r_tag, i))
         counts[i] = acc.sum(axis=0)
         values[i] = np.where(acc.any(axis=0), rat.max(axis=0), np.nan)
     return values, counts
 
 
 @pytest.mark.parametrize("system", ["cat", "translation"])
-@pytest.mark.parametrize("probes, first_index", [(64, 0), (100, 17)])
-def test_torus_blocks_match_per_point_loop(request, lebesgue, system, probes, first_index):
+@pytest.mark.parametrize("probes, r_tag", [(64, 0), (100, 17)])
+def test_torus_blocks_match_per_point_loop(request, monkeypatch, lebesgue, system, probes, r_tag):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two chunks whatever the machine
     sys = request.getfixturevalue(system)
     per_block = _TORUS_BLOCK_ROWS // probes
     xs = [sample_point(sys, lebesgue, 12, i) for i in range(per_block + 3)]  # straddles a block
-    args = (sys, xs, 0.1, [1, 4, 8], probes, 6, 2, first_index)
-    values, accepted = lipschitz_table(*args)
+    args = (sys, xs, 0.1, [1, 4, 8], probes, 6, r_tag)
     want_values, want_accepted = _table_reference(*args)
-    assert values.tobytes() == want_values.tobytes()
-    np.testing.assert_array_equal(accepted, want_accepted)
+    for threads in (1, 2):  # one chunk, then two that split the points
+        values, accepted = lipschitz_table(*args, threads=threads)
+        assert values.tobytes() == want_values.tobytes()
+        np.testing.assert_array_equal(accepted, want_accepted)
     assert (accepted > 0).all()
 
 
@@ -404,12 +407,12 @@ def _shift_ratios_reference(sys, x, r, ns, probes, rng):
     return accepted, ratios
 
 
-def _shift_table_reference(sys, points, r, ns, probes, seed, r_tag, first_index):
+def _shift_table_reference(sys, points, r, ns, probes, seed, r_tag):
     """lipschitz_table on a shift as a per-point loop over the reference route."""
     values = np.full((len(points), len(ns)), np.nan)
     counts = np.zeros((len(points), len(ns)), dtype=int)
     for i, x in enumerate(points):
-        rng = rng_for(seed, r_tag, first_index + i)
+        rng = rng_for(seed, r_tag, i)
         acc, rat = _shift_ratios_reference(sys, x, r, ns, probes, rng)
         counts[i] = acc.sum(axis=0)
         values[i] = np.where(acc.any(axis=0), rat.max(axis=0), np.nan)
@@ -444,9 +447,9 @@ def test_dyadic_columns_hold_every_nearest_mismatch(name):
     assert got.tobytes() == (2.0 ** -_nearest_reference(diff, lo, n_max)).tobytes()
 
 
-def _assert_table_matches(sys, xs, r, ns, probes, first_index):
-    args = (sys, xs, r, ns, probes, 6, 2, first_index)
-    values, accepted = lipschitz_table(*args)
+def _assert_table_matches(sys, xs, r, ns, probes, threads=1, r_tag=2):
+    args = (sys, xs, r, ns, probes, 6, r_tag)
+    values, accepted = lipschitz_table(*args, threads=threads)
     want_values, want_accepted = _shift_table_reference(*args)
     assert values.tobytes() == want_values.tobytes()  # bit for bit, NaN included
     np.testing.assert_array_equal(accepted, want_accepted)
@@ -471,17 +474,21 @@ def _spy_on_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_SHIFTS))
-@pytest.mark.parametrize("first_index", [0, 17])
-def test_shift_blocks_match_per_point_loop(monkeypatch, name, first_index):
+@pytest.mark.parametrize("r_tag", [0, 17])
+def test_shift_blocks_match_per_point_loop(monkeypatch, name, r_tag):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two chunks whatever the machine
     sys, r, ns = _SHIFTS[name]
     probes = 48
     xs = [sample_point(sys, _MARKOV, 12, i) for i in range(7)]
-    _assert_table_matches(sys, xs[:1], r, ns, probes, first_index)
-    # three points per block: blocks of 3, 3 and 1
+    _assert_table_matches(sys, xs[:1], r, ns, probes, threads=2, r_tag=r_tag)
+    # three points per block: blocks of 3, 3 and 1; on two threads, chunks 0..2 and 3..6
     monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 3 * probes * _columns_read(sys, r, ns))
     sizes = _spy_on_blocks(monkeypatch)
-    _assert_table_matches(sys, xs, r, ns, probes, first_index)
+    _assert_table_matches(sys, xs, r, ns, probes, r_tag=r_tag)
     assert sizes == [3, 3, 1]
+    sizes.clear()
+    _assert_table_matches(sys, xs, r, ns, probes, threads=2, r_tag=r_tag)
+    assert sorted(sizes) == [1, 3, 3]
 
 
 def test_shift_blocks_match_per_point_loop_at_the_default_cap(monkeypatch):
@@ -490,7 +497,7 @@ def test_shift_blocks_match_per_point_loop_at_the_default_cap(monkeypatch):
     per_block = geometry._SHIFT_BLOCK_CELLS // (probes * _columns_read(sys, r, ns))
     xs = [sample_point(sys, _MARKOV, 13, i) for i in range(per_block + 2)]  # straddles a block
     sizes = _spy_on_blocks(monkeypatch)
-    _assert_table_matches(sys, xs, r, ns, probes, 0)
+    _assert_table_matches(sys, xs, r, ns, probes)
     assert sizes == [per_block, 2]
 
 
@@ -508,11 +515,12 @@ def test_no_points_give_empty_tables(request, system):
 
 
 @pytest.mark.parametrize("name", sorted(_SHIFTS))
-def test_threaded_shift_table_matches_per_point_loop(name):
+def test_threaded_shift_table_matches_per_point_loop(monkeypatch, name):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sys, r, ns = _SHIFTS[name]
     xs = [sample_point(sys, _MARKOV, 14, i) for i in range(5)]
-    values, accepted = _table_threaded(sys, xs, r, ns, 40, 6, 2, 2)
-    want_values, want_accepted = _shift_table_reference(sys, xs, r, ns, 40, 6, 2, 0)
+    values, accepted = lipschitz_table(sys, xs, r, ns, 40, 6, 2, threads=2)
+    want_values, want_accepted = _shift_table_reference(sys, xs, r, ns, 40, 6, 2)
     assert values.tobytes() == want_values.tobytes()
     np.testing.assert_array_equal(accepted, want_accepted)
 
@@ -538,7 +546,7 @@ def test_shift_table_underflow_matches_reference():
     with pytest.raises(ScaleUnderflow, match="no admissible flip depth") as got:
         lipschitz_table(sys, xs, 0.05, [1, 2], 8, 0)
     with pytest.raises(ScaleUnderflow) as want:
-        _shift_table_reference(sys, xs, 0.05, [1, 2], 8, 0, 0, 0)
+        _shift_table_reference(sys, xs, 0.05, [1, 2], 8, 0, 0)
     assert str(got.value) == str(want.value)
 
 
@@ -596,4 +604,32 @@ def test_inclusion_symbolic_route(bern_half):
     slow = check_ball_inclusion(sys, x, lam=0.5 * math.log(2.0), **args)
     assert slow.holds_from_n is None
     n_fail, witness = slow.first_failure
-    assert n_fail == 1 and witness is not None
+    assert n_fail == 1 and set(witness) == {"flip_coordinate", "worst_distance"}
+    # the probe's forced flip, not the stored window's edge x.lo = -64; at n = 1 the
+    # worst distance is d(x, y) = 2^-|flip|, at or above eps
+    flip = witness["flip_coordinate"]
+    assert flip != x.lo and 1 <= abs(flip) < -x.lo
+    assert witness["worst_distance"] == 2.0 ** -abs(flip) >= args["eps"]
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+def test_inclusion_symbolic_witness_reads_the_orbit_maximum(bern_half, inverted):
+    """The witness's worst distance is max_{t < n} d(T^t x, T^t y) over some probe flipped there."""
+    sys = FullShift(window=64, inverted=inverted)
+    x = sample_point(sys, bern_half, 12)
+    args = dict(eps=0.3, eta=0.5, n_max=12, probes_per_n=100, seed=0)
+    rep = check_ball_inclusion(sys, x, lam=0.25 * math.log(2.0), **args)
+    n_fail, witness = rep.first_failure
+    assert n_fail > 1
+    # rebuild the violating probe: the generator of its n, the same draws, the first probe
+    # inside the open ball and outside the Bowen ball
+    radius = args["eta"] * math.exp(-n_fail * 0.25 * math.log(2.0))
+    k_lo = open_flip_depth(sys, radius)
+    k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
+    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng_for(0, n_fail), 100)
+    for row, flip in zip(symbols, flips):
+        y = SymbolicPoint(row, x.lo)
+        if 0.0 < distance(sys, x, y) < radius and not bowen_ball_contains(sys, x, y, n_fail, args["eps"]):
+            break
+    assert witness["flip_coordinate"] == flip
+    assert witness["worst_distance"] == _orbit_max_distance(sys, x, y, n_fail) >= args["eps"]

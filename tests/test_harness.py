@@ -45,7 +45,7 @@ TINY_CONFIGS = {
 
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMON_KEYS = {"task", "seed", "system", "oracle", "threads"}
+COMMON_KEYS = {"task", "seed", "system", "oracle"}
 
 
 def run(raw):
@@ -61,7 +61,6 @@ def test_minimal_config_gets_defaults():
     cfg = ExperimentConfig.from_dict({"task": "chi", "seed": 0})
     assert cfg.system["kind"] == "toral_automorphism"
     assert cfg.oracle["kind"] == "lebesgue"
-    assert cfg.threads == 1
     shift_cfg = ExperimentConfig.from_dict({"task": "entropy", "seed": 0})
     assert shift_cfg.system["kind"] == "full_shift"
     assert shift_cfg.oracle["kind"] == "bernoulli"
@@ -84,8 +83,9 @@ def test_seed_is_required_and_checked():
         ExperimentConfig.from_dict({"task": "chi"})
     with pytest.raises(ConfigInvalid, match="seed"):
         ExperimentConfig.from_dict({"task": "chi", "seed": -1})
-    with pytest.raises(ConfigInvalid, match="threads"):
-        ExperimentConfig.from_dict({"task": "chi", "seed": 0, "threads": 0})
+    # the thread count is estimate_chi's: no task takes it as a config key
+    with pytest.raises(ConfigInvalid, match=r"unknown key\(s\) for task 'chi': threads"):
+        ExperimentConfig.from_dict({"task": "chi", "seed": 0, "threads": 2})
     # the window is the system's: a top-level window is an unknown key
     with pytest.raises(ConfigInvalid, match=r"unknown key\(s\) for task 'entropy': window"):
         ExperimentConfig.from_dict({"task": "entropy", "seed": 0, "window": 4})
@@ -124,7 +124,7 @@ def test_schedule_direction_validation():
     [
         ({"task": "hamming-bounds", "seed": True}, "seed"),
         ({"task": "hamming-bounds", "seed": False}, "seed"),
-        ({"task": "chi", "seed": 0, "threads": True}, "threads"),
+        ({"task": "partition-build", "seed": 0, "depth": True}, "depth"),
         ({"task": "entropy", "seed": 0, "system": {"kind": "full_shift", "window": True}}, "system"),
         ({"task": "chi", "seed": 0, "points": True}, "points"),
         ({"task": "chi", "seed": 0, "probes": True}, "probes"),
@@ -464,7 +464,7 @@ def test_from_dict_fuzz(data):
     """Every input ends as ConfigInvalid or as a config whose options all pass their types."""
     task = data.draw(st.sampled_from(sorted(TASKS)))
     spec = TASKS[task]
-    defaults = {"seed": 0, "threads": 1, **{k: d for k, (d, _) in spec.options.items()}}
+    defaults = {"seed": 0, **{k: d for k, (d, _) in spec.options.items()}}
     raw = {"task": task, "seed": data.draw(st.integers(0, 2**63))}
     for name in data.draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1, max_size=3)):
         raw[name] = data.draw(_like(defaults[name]), label=name)
@@ -725,9 +725,61 @@ def test_starved_monte_carlo_is_flagged_not_fatal():
 def test_payload_bytes_reproduce(task):
     first = run(TINY_CONFIGS[task]).payload_bytes()
     again = run(TINY_CONFIGS[task]).payload_bytes()
-    threaded = run({**TINY_CONFIGS[task], "threads": 2}).payload_bytes()
     assert first == again
-    assert first == threaded
+
+
+_SHIFT_16 = {"kind": "full_shift", "window": 16}
+
+
+@pytest.mark.parametrize("task, raw, window", [
+    # the README example: window 16 runs on max(n_schedule) + 64
+    ("chi", {"n_schedule": [2, 4], "points": 8, "probes": 16}, 68),
+    ("chi", {"n_schedule": [2, 4], "points": 8, "probes": 16, "system": {**_SHIFT_16, "window": 100}},
+     100),
+    ("brin-katok", {}, 16 + 64),
+    ("partition-build", {}, 8 * (3 + 30)),
+    ("smb-check", {}, 200 + 64),
+    ("dimension", {}, 128),
+    ("verify", {}, 192),
+    ("appendix-hilbert", {"system": {**_SHIFT_16, "metric": "weighted"}}, 256),
+])
+def test_shift_runners_report_the_window_they_ran_on(task, raw, window):
+    """A shift's window is raised to the task's minimum; parameters say which window ran."""
+    cfg = {**TINY_CONFIGS[task], "system": _SHIFT_16, **raw}
+    rep = run(cfg)
+    assert rep.config["system"] == json.loads(json.dumps(cfg["system"]))  # the echo keeps the config
+    assert rep.parameters["window"] == window
+
+
+def test_torus_runs_report_no_window():
+    assert "window" not in run(TINY_CONFIGS["chi"]).parameters
+
+
+_BLOCK_CONFIGS = {
+    "chi-cat": TINY_CONFIGS["chi"],
+    "chi-dyadic": {**TINY_CONFIGS["chi"], "system": {"kind": "full_shift"}},
+    "chi-weighted": {**TINY_CONFIGS["chi"], "system": {"kind": "full_shift", "metric": "weighted"},
+                     "r_schedule": [0.4, 0.3]},
+    "verify": TINY_CONFIGS["verify"],
+    "appendix-hilbert": TINY_CONFIGS["appendix-hilbert"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CONFIGS))
+def test_probe_blocks_leave_payload_bytes(monkeypatch, name):
+    """One point per probe block gives the bytes of the default blocks, which hold every point."""
+    import ergodim.geometry as geometry
+
+    raw = _BLOCK_CONFIGS[name]
+    want = run(raw).payload_bytes()
+    calls = []
+    for kernel in ("_torus_ratios_from_draws", "_shift_block_ratios"):
+        real = getattr(geometry, kernel)
+        monkeypatch.setattr(geometry, kernel, lambda *a, real=real: calls.append(1) or real(*a))
+    monkeypatch.setattr(geometry, "_TORUS_BLOCK_ROWS", 1)
+    monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 1)
+    assert run(raw).payload_bytes() == want
+    assert len(calls) >= 3 * 16  # every table holds at least 16 points, one block each
 
 
 def test_seed_changes_sampled_payloads():
@@ -898,21 +950,22 @@ def test_run_all_prints_each_headline(tmp_path, capsys):
 def test_payload_hashes_cover_every_workload_report(capsys):
     payload_hashes = _load_script("payload_hashes")
     bench_files = sorted((ROOT / "bench").rglob("*"))
-    assert payload_hashes.main(["--tiny", "--seeds", "0", "--threads", "1", "2"]) == 0
+    assert payload_hashes.main(["--tiny", "--seeds", "0-1"]) == 0
     assert sorted((ROOT / "bench").rglob("*")) == bench_files  # nothing written under bench/
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    by_threads = {t: [(w, task, d) for w, task, seed, th, d in lines if th == f"threads={t}"]
-                  for t in (1, 2)}
-    assert len(lines) == 22 and len(by_threads[1]) == 11
-    assert by_threads[1] == by_threads[2]
-    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, _, d in by_threads[1])
+    assert len(lines) == 22 and all(len(line) == 4 for line in lines)
+    assert sorted({w for w, _, _, _ in lines}) == ["cat-map", "markov-shift", "weighted-shift"]
+    assert [seed for _, _, seed, _ in lines].count("seed=1") == 11
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, _, _, d in lines)
+    with pytest.raises(SystemExit):
+        payload_hashes.main(["--threads", "2"])
 
 
 def test_workload_payloads_match_the_benchmark_golden():
     """The benchmark's seed-0 payload gate, at full scale, from the read-only golden file."""
     golden = json.loads((ROOT / "bench" / "golden.json").read_text())
     assert golden["seed"] == 0
-    got = {(w, task): d for w, task, _, _, d in _load_script("payload_hashes").hashes([0], [1])}
+    got = {(w, task): d for w, task, _, d in _load_script("payload_hashes").hashes([0])}
     want = {(w, task): rec["sha256"] for w, tasks in golden["workloads"].items()
             for task, rec in tasks.items()}
     assert len(want) == 11
