@@ -30,7 +30,6 @@ from .entropy import (
 from .errors import *  # noqa: F403 - errors defines a curated __all__
 from .geometry import (
     InclusionReport,
-    bowen_ball_contains,
     check_ball_inclusion,
     lipschitz_table,
 )

@@ -58,6 +58,7 @@ __all__ = [
     "DimensionEstimate",
     "default_delta",
     "default_scales",
+    "scale_saturation_flags",
     "sample_unstable_set",
     "box_counting_dimension",
     "local_dimension_lower",
@@ -371,11 +372,26 @@ def default_scales(sys, delta: float, budget: int) -> list:
     """
     if isinstance(sys, ToralAutomorphism):
         return [delta * 2.0 ** (-j) for j in range(2, 8)]
-    finest = 9
-    if isinstance(sys.metric, DyadicMetric):
-        while finest > 1 and sys.alphabet_size**finest > budget:
-            finest -= 1
-    return [2.0 ** (-k) for k in range(2, finest + 1)]
+    return [2.0 ** (-k) for k in range(2, 10) if not _saturates(sys, 2.0 ** (-k), budget)]
+
+
+def _saturates(sys, eps: float, budget: int) -> bool:
+    """Whether a dyadic cloud of ``budget`` points is past resolving scale eps: it varies at
+    most depth coordinates, a^depth <= budget, so its box counts stop growing once a^k > budget
+    at the box radius k of eps.  Never on other metrics."""
+    dyadic = isinstance(sys, FullShift) and isinstance(sys.metric, DyadicMetric)
+    return dyadic and sys.alphabet_size ** dyadic_depth(eps) > budget
+
+
+def scale_saturation_flags(sys, scales, budget: int) -> list:
+    """One flag naming the scales (given explicitly; defaults stop short of them) at which
+    a dyadic cloud of ``budget`` points cannot split a box, or no flag."""
+    past = [dyadic_depth(s) for s in scales if _saturates(sys, s, budget)]
+    if not past:
+        return []
+    return [f"scales at box radius k = {', '.join(map(str, past))} lie past what a cloud of {budget} "
+            f"points resolves ({sys.alphabet_size}^k > cloud_budget): their box counts saturate "
+            f"and pull the slope down"]
 
 
 def sample_unstable_set(
@@ -782,6 +798,7 @@ def verify_main_inequality(
 
     if scales is None:
         scales = default_scales(work_sys, delta, cloud_budget)
+    flags += scale_saturation_flags(work_sys, scales, cloud_budget)
 
     slopes = []
     mass_liminfs = []

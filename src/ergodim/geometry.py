@@ -32,7 +32,6 @@ from .systems import (
     SystemDescriptor,
     ToralAutomorphism,
     TorusTranslation,
-    distance,
     iterate,
     open_flip_depth,
     resolution_floor,
@@ -42,24 +41,11 @@ from .systems import (
 from .measures import child_rngs, rng_for, uniform_symbols
 
 __all__ = [
-    "bowen_ball_contains",
     "lipschitz_table",
     "InclusionRecord",
     "InclusionReport",
     "check_ball_inclusion",
 ]
-
-
-def bowen_ball_contains(sys: SystemDescriptor, x, y, n: int, r: float) -> bool:
-    """True iff max_{0 <= k <= n-1} d(T^k x, T^k y) < r (open Bowen ball)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    for k in range(n):
-        if distance(sys, iterate(sys, x, k), iterate(sys, y, k)) >= r:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -72,35 +58,63 @@ def bowen_ball_contains(sys: SystemDescriptor, x, y, n: int, r: float) -> bool:
 _TORUS_BLOCK_ROWS = 8192
 
 
+# relative half-width of the band around r^2 inside which Bowen membership
+# is decided by np.hypot rather than by the sum of squares
+_GUARD_BAND = 1e-12
+
+
+def _below_radius(f, r):
+    """Exactly ``np.hypot(f[:, 0], f[:, 1]) < r``, calling ``np.hypot`` only on rows near r.
+
+    s = fl(x^2 + y^2) lies within about 2u of x^2 + y^2 (u = 2^-53), and
+    np.hypot within one ulp of sqrt(x^2 + y^2): both far inside the band
+    r^2 (1 +- 1e-12).  So s below the band means hypot < r, s above it means
+    hypot > r, and only the rows inside it need hypot.  The bound needs r^2
+    clear of underflow: torus radii lie above the 1e-14 resolution floor, so
+    r^2 >= 1e-28, and a row whose s does underflow is far below r^2.
+    """
+    sq = f * f
+    s = sq[:, 0] + sq[:, 1]
+    r2 = r * r
+    below = s < r2 * (1.0 - _GUARD_BAND)
+    band = ~below & (s <= r2 * (1.0 + _GUARD_BAND))
+    if band.any():
+        below[band] = np.hypot(f[band, 0], f[band, 1]) < r
+    return below
+
+
 def _torus_ratios_from_draws(sys, r, ns, u):
     """Displacement-route ratios for linear torus maps, from uniform draws u[rows, 2].
 
     Each row is one probe and is evaluated independently of the others.
-    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
+    Returns (accepted[len(ns), rows], ratios[len(ns), rows]), one row per
+    schedule step.  d_0 is the exact torus norm; later steps decide d_k < r
+    by ``_below_radius`` and take d_n = np.hypot only on the probes still in
+    the Bowen ball at n in the schedule, so every bit is that of the
+    all-hypot route.
     """
     floor = max(resolution_floor(sys), 1e-12 * r)
     mags = floor * (r / floor) ** u[:, 0]  # log-uniform across scales in [floor, r)
     angles = 2.0 * math.pi * u[:, 1]
-    v = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
+    w = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
 
-    A = sys.as_array()
+    step = np.ascontiguousarray(sys.as_array().T)  # a contiguous operand keeps the matmul fast
     n_max = max(ns)
-    w = v.copy()
-    d0 = torus_norm_rows(v)
-    run_max = d0.copy()  # max_{0<=k<=j} d_k, starting at k=0
-    accepted = np.zeros((len(u), len(ns)), dtype=bool)
-    ratios = np.zeros((len(u), len(ns)))
+    d0 = torus_norm_rows(w)
+    inside = (d0 < r) & (d0 > 0.0)  # in B_k(x, r) for the k reached so far, and distinct from x
+    accepted = np.zeros((len(ns), len(u)), dtype=bool)
+    ratios = np.zeros((len(ns), len(u)))
     col = {n: j for j, n in enumerate(ns)}
     for k in range(1, n_max + 1):
-        w = w @ A.T
-        dk = torus_norm_rows(w)
-        if k in col:
-            j = col[k]
-            ok = (run_max < r) & (d0 > 0.0)  # Bowen membership uses k <= n-1
-            accepted[:, j] = ok
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios[:, j] = np.where(ok, dk / d0, 0.0)
-        run_max = np.maximum(run_max, dk)
+        w = w @ step
+        f = w - np.rint(w)  # nearest-integer reduction, as in ``torus_norm_rows``
+        if k in col:  # Bowen membership uses d_0..d_{k-1}
+            accepted[col[k]] = inside
+            rows = np.flatnonzero(inside)
+            near = f.take(rows, axis=0)
+            ratios[col[k]].put(rows, np.hypot(near[:, 0], near[:, 1]) / d0.take(rows))
+        if k < n_max:
+            inside &= _below_radius(f, r)
     return accepted, ratios
 
 
@@ -165,7 +179,7 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
     Point i draws its probes from the i-th generator of ``rngs``, exactly as a
     lone point would; rows i * probes .. (i + 1) * probes - 1 of the result
     are its probes.  ``plan`` is ``_shift_window_plan`` of the block's window.
-    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]).
+    Returns (accepted[len(ns), rows], ratios[len(ns), rows]), one row per schedule step.
     """
     x0 = xs[0]
     lo, hi, width, a = x0.lo, x0.hi, x0.symbols.size, sys.alphabet_size
@@ -204,15 +218,15 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
             np.sqrt(diff[s : s + probes].astype(float) @ M, out=d[s : s + probes])
     d0 = d[:, 0]
     run_max = np.maximum.accumulate(d, axis=1)  # run_max[:, k] = max_{j <= k} d_j
-    accepted = np.zeros((len(ks), len(ns)), dtype=bool)
-    ratios = np.zeros((len(ks), len(ns)))
+    accepted = np.zeros((len(ns), len(ks)), dtype=bool)
+    ratios = np.zeros((len(ns), len(ks)))
     for n, j in {n: j for j, n in enumerate(ns)}.items():
         if n < 1:
-            continue  # no Bowen ball at n < 1: the column stays unaccepted
+            continue  # no Bowen ball at n < 1: the row stays unaccepted
         ok = (run_max[:, n - 1] < r) & (d0 > 0.0)
-        accepted[:, j] = ok
+        accepted[j] = ok
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios[:, j] = np.where(ok, d[:, n] / d0, 0.0)
+            ratios[j] = np.where(ok, d[:, n] / d0, 0.0)
     return accepted, ratios
 
 
@@ -274,9 +288,11 @@ def lipschitz_table(
         rngs = child_rngs(seed, r_tag, start=begin, stop=end)
         for start in range(begin, end, per_block):
             block = points[start : min(start + per_block, end)]
-            acc, rat = (a.reshape(len(block), probes, len(ns)) for a in block_ratios(block, rngs))
-            accepted_counts[start : start + len(block)] = acc.sum(axis=1)
-            values[start : start + len(block)] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
+            # step-major tables: each (step, point) cell reduces over contiguous probes
+            acc, rat = (a.reshape(len(ns), len(block), probes) for a in block_ratios(block, rngs))
+            counts = acc.sum(axis=2)
+            accepted_counts[start : start + len(block)] = counts.T
+            values[start : start + len(block)] = np.where(counts > 0, rat.max(axis=2), np.nan).T
 
     # more workers than cores buy nothing, and a large ``threads`` must not start that many
     chunks = min(threads, len(points), os.cpu_count() or 1)
@@ -397,20 +413,23 @@ def _torus_inclusion_sample(sys, radius, eps, n, probes, rng):
 
 
 def _shift_inclusion_sample(sys, x, radius, eps, n, probes, rng):
-    violations = 0
-    witness = None
     k_lo = open_flip_depth(sys, radius)
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow("no flip depth available inside the window at this radius")
     symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
-    for row, flip in zip(symbols, flips):
-        y = SymbolicPoint(row, x.lo)
-        if distance(sys, x, y) >= radius or distance(sys, x, y) == 0.0:
-            continue  # outside the open ball (or indistinguishable); not a candidate
-        if not bowen_ball_contains(sys, x, y, n, eps):
-            violations += 1
-            if witness is None:
-                worst = shift_orbit_distances(sys, (row != x.symbols)[None], x.lo, np.arange(n)).max()
-                witness = {"flip_coordinate": int(flip), "worst_distance": float(worst)}
-    return violations, witness
+    d = shift_orbit_distances(sys, symbols != x.symbols, x.lo, np.arange(n))  # d(T^t x, T^t y), t < n
+    # a candidate lies in the open ball and is distinguishable from x
+    candidate = (d[:, 0] < radius) & (d[:, 0] > 0.0)
+    outside = d >= eps
+    # the stored window covers coordinate 0 for t <= last only: a candidate still
+    # in the Bowen ball there cannot be followed further
+    last = -x.lo if sys.inverted else x.hi
+    if n - 1 > last and (candidate & ~outside[:, : last + 1].any(axis=1)).any():
+        iterate(sys, x, last + 1)  # raises WindowExhausted
+    bad = candidate & outside.any(axis=1)
+    witness = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        witness = {"flip_coordinate": int(flips[i]), "worst_distance": float(d[i].max())}
+    return int(bad.sum()), witness

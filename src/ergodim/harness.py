@@ -30,6 +30,7 @@ from .dimension import (
     default_delta,
     default_scales,
     sample_unstable_set,
+    scale_saturation_flags,
     unstable_cover_counts,
     verify_main_inequality,
 )
@@ -654,7 +655,9 @@ def _run_dimension(cfg: ExperimentConfig):
         admission_tolerance=opts["admission_tolerance"],
     )
     est = box_counting_dimension(cloud, scales, sys=sys)
-    flags = [] if est.monotone else ["box counts not monotone across scales"]
+    flags = scale_saturation_flags(sys, scales, opts["cloud_budget"])
+    if not est.monotone:
+        flags.append("box counts not monotone across scales")
     if cloud.admitted == 1:
         flags.append("only the base point was admitted: the slope measures no local unstable set")
     payload = {

@@ -11,23 +11,23 @@ import os
 import numpy as np
 import pytest
 
-from ergodim.errors import NoProbeAccepted, ScaleUnderflow
+from ergodim.errors import NoProbeAccepted, ScaleUnderflow, WindowExhausted
 import ergodim.geometry as geometry
 from ergodim.geometry import (
     _TORUS_BLOCK_ROWS,
     InclusionReport,
+    _below_radius,
     _draw_flip_probes,
     _shift_block_ratios,
     _shift_probe_symbols,
     _shift_weight_matrix,
     _shift_window_plan,
     _torus_ratios_from_draws,
-    bowen_ball_contains,
     check_ball_inclusion,
     lipschitz_table,
 )
 from ergodim.lyapunov import estimate_chi
-from ergodim.measures import MarkovStationary, rng_for, sample_point
+from ergodim.measures import BernoulliIID, MarkovStationary, rng_for, sample_point
 from ergodim.systems import (
     DyadicMetric,
     FullShift,
@@ -39,13 +39,31 @@ from ergodim.systems import (
     distance,
     iterate,
     open_flip_depth,
+    resolution_floor,
     shift_orbit_distances,
+    torus_norm_rows,
 )
 from tests.conftest import LOG_LAM
 
 
 def _orbit_max_distance(sys, x, y, n):
     return max(distance(sys, iterate(sys, x, k), iterate(sys, y, k)) for k in range(n))
+
+
+def _bowen_contains(sys, x, y, n, r):
+    """Membership of y in the open Bowen ball B_n(x, r) as the package decides it: on a
+    shift from one ``shift_orbit_distances`` call over t < n (the symbolic inclusion
+    check's route), on the torus by ``_below_radius`` on the reduced displacements
+    A^k (y - x), k < n (the probe kernel's route)."""
+    if isinstance(sys, FullShift):
+        diff = (y.symbols != x.symbols)[None, :]
+        return bool(shift_orbit_distances(sys, diff, x.lo, np.arange(n)).max() < r)
+    w = np.array([[y.x - x.x, y.y - x.y]])
+    for _ in range(n):
+        if not _below_radius(w - np.rint(w), r)[0]:
+            return False
+        w = w @ sys.as_array().T
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +73,16 @@ def _orbit_max_distance(sys, x, y, n):
 
 def test_center_always_inside(cat, dyadic_shift, bern_half):
     p = TorusPoint(0.3, 0.8)
-    assert bowen_ball_contains(cat, p, p, 7, 1e-9)
+    assert _bowen_contains(cat, p, p, 7, 1e-9)
     x = sample_point(dyadic_shift, bern_half, 0)
-    assert bowen_ball_contains(dyadic_shift, x, x, 12, 1e-6)
+    assert _bowen_contains(dyadic_shift, x, x, 12, 1e-6)
 
 
 def test_step_one_reduces_to_plain_ball(cat):
     x, y = TorusPoint(0.2, 0.2), TorusPoint(0.25, 0.2)
     d = distance(cat, x, y)
-    assert bowen_ball_contains(cat, x, y, 1, d + 1e-9)
-    assert not bowen_ball_contains(cat, x, y, 1, d)  # open ball: boundary excluded
+    assert _bowen_contains(cat, x, y, 1, d + 1e-9)
+    assert not _bowen_contains(cat, x, y, 1, d)  # open ball: boundary excluded
 
 
 def test_bowen_matches_definition_brute_force(cat, lebesgue):
@@ -74,7 +92,7 @@ def test_bowen_matches_definition_brute_force(cat, lebesgue):
         y = TorusPoint(float(rng.random()), float(rng.random()))
         n = int(rng.integers(1, 9))
         r = float(rng.uniform(0.01, 0.6))
-        assert bowen_ball_contains(cat, x, y, n, r) == (_orbit_max_distance(cat, x, y, n) < r)
+        assert _bowen_contains(cat, x, y, n, r) == (_orbit_max_distance(cat, x, y, n) < r)
 
 
 def test_dyadic_bowen_ball_is_agreement_cylinder(dyadic_shift, bern_half):
@@ -88,7 +106,7 @@ def test_dyadic_bowen_ball_is_agreement_cylinder(dyadic_shift, bern_half):
                 ys = x.symbols.copy()
                 ys[c - x.lo] ^= 1
                 y = SymbolicPoint(ys, x.lo)
-                inside = bowen_ball_contains(dyadic_shift, x, y, n, 2.0**-m)
+                inside = _bowen_contains(dyadic_shift, x, y, n, 2.0**-m)
                 assert inside == (c < lo_keep or c > hi_keep), (n, m, c)
 
 
@@ -104,7 +122,7 @@ def test_dyadic_bowen_multi_flip_random(dyadic_shift, bern_half):
             ys[c - x.lo] ^= 1
         y = SymbolicPoint(ys, x.lo)
         expect = _orbit_max_distance(dyadic_shift, x, y, n) < 2.0**-m
-        assert bowen_ball_contains(dyadic_shift, x, y, n, 2.0**-m) == expect
+        assert _bowen_contains(dyadic_shift, x, y, n, 2.0**-m) == expect
 
 
 def test_bowen_balls_nest_in_n(cat):
@@ -112,8 +130,8 @@ def test_bowen_balls_nest_in_n(cat):
     for _ in range(30):
         x = TorusPoint(float(rng.random()), float(rng.random()))
         y = TorusPoint(x.x + float(rng.uniform(-0.05, 0.05)) % 1.0, x.y)
-        if bowen_ball_contains(cat, x, y, 6, 0.2):
-            assert bowen_ball_contains(cat, x, y, 5, 0.2)
+        if _bowen_contains(cat, x, y, 6, 0.2):
+            assert _bowen_contains(cat, x, y, 5, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +341,8 @@ def test_flip_kernel_plan_gives_the_shared_orbit_distances(metric):
 
 
 def _probe_ratios(sys, x, r, ns, probes, rng):
-    """One point's probe block through the production kernels, on its own generator."""
+    """One point's probe block through the production kernels, on its own generator:
+    (accepted, ratios) tables with one row per schedule step."""
     if isinstance(sys, (ToralAutomorphism, TorusTranslation)):
         return _torus_ratios_from_draws(sys, r, ns, rng.random((probes, 2)))
     plan = _shift_window_plan(sys, r, x.lo, x.hi, max(ns))
@@ -336,8 +355,8 @@ def _table_reference(sys, points, r, ns, probes, seed, r_tag):
     counts = np.zeros((len(points), len(ns)), dtype=int)
     for i, x in enumerate(points):
         acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(seed, r_tag, i))
-        counts[i] = acc.sum(axis=0)
-        values[i] = np.where(acc.any(axis=0), rat.max(axis=0), np.nan)
+        counts[i] = acc.sum(axis=1)
+        values[i] = np.where(acc.any(axis=1), rat.max(axis=1), np.nan)
     return values, counts
 
 
@@ -355,6 +374,95 @@ def test_torus_blocks_match_per_point_loop(request, monkeypatch, lebesgue, syste
         assert values.tobytes() == want_values.tobytes()
         np.testing.assert_array_equal(accepted, want_accepted)
     assert (accepted > 0).all()
+
+
+def _torus_ratios_reference(sys, r, ns, u):
+    """The all-hypot torus route: the exact torus norm of every displacement at every step.
+
+    Returns (accepted[rows, len(ns)], ratios[rows, len(ns)]), one column per schedule step."""
+    floor = max(resolution_floor(sys), 1e-12 * r)
+    mags = floor * (r / floor) ** u[:, 0]
+    angles = 2.0 * math.pi * u[:, 1]
+    v = np.stack([mags * np.cos(angles), mags * np.sin(angles)], axis=1)
+    A = sys.as_array()
+    w = v.copy()
+    d0 = torus_norm_rows(v)
+    run_max = d0.copy()
+    accepted = np.zeros((len(u), len(ns)), dtype=bool)
+    ratios = np.zeros((len(u), len(ns)))
+    col = {n: j for j, n in enumerate(ns)}
+    for k in range(1, max(ns) + 1):
+        w = w @ A.T
+        dk = torus_norm_rows(w)
+        if k in col:
+            ok = (run_max < r) & (d0 > 0.0)
+            accepted[:, col[k]] = ok
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios[:, col[k]] = np.where(ok, dk / d0, 0.0)
+        run_max = np.maximum(run_max, dk)
+    return accepted, ratios
+
+
+_KERNEL_MATRICES = {
+    "cat": ((2, 1), (1, 1)),
+    "cat-negative": ((-2, 1), (1, -1)),
+    "trace-4": ((3, 1), (2, 1)),
+    "det-minus-one": ((0, 1), (1, 3)),
+    "golden": ((1, 1), (1, 0)),
+    "wide": ((4097, 4096), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(_KERNEL_MATRICES), "translation"])
+@pytest.mark.parametrize("r", [0.2, 0.05, 1e-12])
+def test_torus_kernel_bits_match_the_all_hypot_route(name, r):
+    """The guard band and the step-major layout keep every bit of the all-hypot route."""
+    sys = TorusTranslation() if name == "translation" else ToralAutomorphism(_KERNEL_MATRICES[name])
+    u = np.random.default_rng(11).random((4096, 2))
+    for ns in ([1], [1, 2, 5], [1, 3, 6, 10], [4, 8, 12]):
+        acc, rat = _torus_ratios_from_draws(sys, r, ns, u)
+        want_acc, want_rat = _torus_ratios_reference(sys, r, ns, u)
+        assert acc.shape == rat.shape == (len(ns), len(u))
+        assert acc.tobytes() == want_acc.T.tobytes()
+        assert rat.tobytes() == want_rat.T.tobytes()
+        assert acc[0].any() or ns[0] > 1  # at n = 1 every probe of the open ball is in
+
+
+def _assert_below_radius_is_hypot(f, r):
+    got = _below_radius(f, r)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, np.hypot(f[:, 0], f[:, 1]) < r)
+
+
+def test_band_helper_at_the_radius_and_one_ulp_either_side():
+    rng = np.random.default_rng(5)
+    for scale in (0.3, 0.05, 1e-6, 1e-14):
+        f = (rng.random((200, 2)) - 0.5) * scale
+        for row in f:
+            d = np.hypot(row[0], row[1])
+            for r in (d, np.nextafter(d, 0.0), np.nextafter(d, np.inf)):
+                _assert_below_radius_is_hypot(row[None, :], float(r))
+        # d = r exactly is outside the open ball
+        assert not _below_radius(f[:1], float(np.hypot(*f[0]))).any()
+
+
+@pytest.mark.parametrize("r", [0.2, 0.05, 3e-8, 1.5e-14])
+def test_band_helper_at_the_band_edges(r):
+    """Rows whose s = x^2 + y^2 sits just inside and just outside r^2 (1 +- 1e-12)."""
+    rng = np.random.default_rng(6)
+    angle = 2.0 * math.pi * rng.random(64)
+    # s / r^2 - 1 just outside and just inside the band edges, well inside it, and across it
+    offsets = [sign * t for t in (1e-12 * (1 + 1e-6), 1e-12 * (1 - 1e-6), 1e-13, 1e-15, 1e-16, 0.0)
+               for sign in (-1.0, 1.0)]
+    for t in [*offsets, *np.linspace(-2e-12, 2e-12, 41)]:
+        mag = r * math.sqrt(1.0 + t)
+        _assert_below_radius_is_hypot(np.stack([mag * np.cos(angle), mag * np.sin(angle)], axis=1), r)
+    # components near the 1e-14 resolution floor, on both sides of the radius
+    f = rng.uniform(-3e-14, 3e-14, size=(4096, 2))
+    for r_small in (1e-14, 2e-14, 1.5e-14):
+        _assert_below_radius_is_hypot(f, r_small)
+    d = np.hypot(f[:, 0], f[:, 1])
+    assert (d < 1.5e-14).any() and (d >= 1.5e-14).any()  # rows on both sides of the radius
 
 
 def _shift_symbols_reference(x, sys, k_lo, k_hi, rng, probes):
@@ -532,8 +640,8 @@ def test_one_point_route_matches_reference(name):
     for probes in (1, 64):
         acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(3, probes))
         want_acc, want_rat = _shift_ratios_reference(sys, x, r, ns, probes, rng_for(3, probes))
-        np.testing.assert_array_equal(acc, want_acc)
-        assert rat.tobytes() == want_rat.tobytes()
+        np.testing.assert_array_equal(acc, want_acc.T)
+        assert rat.tobytes() == want_rat.T.tobytes()
         k_lo = open_flip_depth(sys, r)
         got, _ = _shift_probe_symbols(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
         want, _ = _shift_symbols_reference(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
@@ -629,7 +737,73 @@ def test_inclusion_symbolic_witness_reads_the_orbit_maximum(bern_half, inverted)
     symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng_for(0, n_fail), 100)
     for row, flip in zip(symbols, flips):
         y = SymbolicPoint(row, x.lo)
-        if 0.0 < distance(sys, x, y) < radius and not bowen_ball_contains(sys, x, y, n_fail, args["eps"]):
+        if 0.0 < distance(sys, x, y) < radius and _orbit_max_distance(sys, x, y, n_fail) >= args["eps"]:
             break
     assert witness["flip_coordinate"] == flip
     assert witness["worst_distance"] == _orbit_max_distance(sys, x, y, n_fail) >= args["eps"]
+
+
+def _shift_inclusion_loop(sys, x, radius, eps, n, probes, rng):
+    """The per-probe symbolic inclusion sample: two distances and an iterate-and-measure
+    Bowen check for every probe, stopping at its first step outside the ball."""
+    violations = 0
+    witness = None
+    k_lo = open_flip_depth(sys, radius)
+    k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
+    if k_hi < k_lo:
+        raise ScaleUnderflow("no flip depth available inside the window at this radius")
+    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
+    for row, flip in zip(symbols, flips):
+        y = SymbolicPoint(row, x.lo)
+        if distance(sys, x, y) >= radius or distance(sys, x, y) == 0.0:
+            continue
+        if any(distance(sys, iterate(sys, x, k), iterate(sys, y, k)) >= eps for k in range(n)):
+            violations += 1
+            if witness is None:
+                worst = shift_orbit_distances(sys, (row != x.symbols)[None], x.lo, np.arange(n)).max()
+                witness = {"flip_coordinate": int(flip), "worst_distance": float(worst)}
+    return violations, witness
+
+
+_LOG2 = math.log(2.0)
+_INCLUSION_CASES = {
+    "fast": (FullShift(window=64), dict(lam=1.5 * _LOG2, eps=0.25, eta=0.5, n_max=12)),
+    "slow": (FullShift(window=64), dict(lam=0.5 * _LOG2, eps=0.25, eta=0.5, n_max=12)),
+    "witness": (FullShift(window=64), dict(lam=0.25 * _LOG2, eps=0.3, eta=0.5, n_max=12)),
+    "witness-inverted": (FullShift(window=64, inverted=True), dict(lam=0.25 * _LOG2, eps=0.3, eta=0.5, n_max=12)),
+    "three-symbols": (FullShift(alphabet_size=3, window=48), dict(lam=0.4, eps=0.2, eta=0.5, n_max=20)),
+    # radii run from 0.86 down past the floor 0.35 of the 64-coordinate weighted window at n = 24
+    "weighted": (FullShift(metric=WeightedL2Metric(), window=64), dict(lam=0.04, eps=0.95, eta=0.9, n_max=24)),
+    # radius 0.75 * 4^-n: flips fit the 16-coordinate window through n = 7, then underflow
+    "underflow": (FullShift(window=16), dict(lam=2.0 * _LOG2, eps=0.25, eta=0.75, n_max=12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INCLUSION_CASES))
+def test_symbolic_inclusion_matches_the_per_probe_loop(monkeypatch, name):
+    sys, args = _INCLUSION_CASES[name]
+    oracle = _MARKOV if sys.alphabet_size == 2 else BernoulliIID((0.2, 0.3, 0.5))
+    x = sample_point(sys, oracle, 12)
+    got = check_ball_inclusion(sys, x, probes_per_n=100, seed=0, **args)
+    monkeypatch.setattr(geometry, "_shift_inclusion_sample", _shift_inclusion_loop)
+    want = check_ball_inclusion(sys, x, probes_per_n=100, seed=0, **args)
+    assert got == want
+    assert got.tested_up_to > 1
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+def test_symbolic_inclusion_past_the_window_raises_as_the_loop_did(monkeypatch, bern_half, inverted):
+    """A probe still in the Bowen ball where the stored window stops covering 0 ends the check;
+    one step short of that, nothing is raised."""
+    sys = FullShift(window=8, inverted=inverted)
+    x = sample_point(sys, bern_half, 3)
+    last = -x.lo if inverted else x.hi  # the last step at which the window covers 0
+    args = dict(lam=0.02, eps=0.5, eta=0.5, probes_per_n=200, seed=0)
+    with pytest.raises(WindowExhausted) as got:
+        check_ball_inclusion(sys, x, n_max=last + 2, **args)
+    got_short = check_ball_inclusion(sys, x, n_max=last + 1, **args)
+    monkeypatch.setattr(geometry, "_shift_inclusion_sample", _shift_inclusion_loop)
+    with pytest.raises(WindowExhausted) as want:
+        check_ball_inclusion(sys, x, n_max=last + 2, **args)
+    assert str(got.value) == str(want.value)
+    assert got_short == check_ball_inclusion(sys, x, n_max=last + 1, **args)

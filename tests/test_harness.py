@@ -755,6 +755,27 @@ def test_torus_runs_report_no_window():
     assert "window" not in run(TINY_CONFIGS["chi"]).parameters
 
 
+_FAIR_COIN = {"system": {"kind": "full_shift"}, "oracle": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+              "cloud_budget": 1000, "seed": 0}
+
+
+@pytest.mark.parametrize("task, extra", [("dimension", {}),
+                                         ("verify", {"base_points": 4, "chi_points": 32, "chi_probes": 48})])
+def test_explicit_scales_past_the_cloud_are_flagged(task, extra):
+    """A fair-coin cloud of 1000 points varies 9 coordinates (2^9 <= 1000): explicit scales
+    2^-10..2^-14 cannot split a box, and their saturated counts pull the slope from 1 to 0.615."""
+    raw = {"task": task, **_FAIR_COIN, **extra}
+    fine = run({**raw, "scales": [2.0**-k for k in range(2, 15)]})
+    slope = fine.payload["slope" if task == "dimension" else "dim"]
+    assert slope == pytest.approx(8 / 13, abs=1e-12)
+    want = "scales at box radius k = 10, 11, 12, 13, 14 lie past what a cloud of 1000 points resolves"
+    assert [f for f in fine.flags if f.startswith("scales")] == [
+        want + " (2^k > cloud_budget): their box counts saturate and pull the slope down"]
+    for ok in (run(raw), run({**raw, "scales": [2.0**-k for k in range(2, 10)]})):
+        assert not [f for f in ok.flags if f.startswith("scales")]
+        assert ok.payload["slope" if task == "dimension" else "dim"] == pytest.approx(1.0, abs=1e-12)
+
+
 _BLOCK_CONFIGS = {
     "chi-cat": TINY_CONFIGS["chi"],
     "chi-dyadic": {**TINY_CONFIGS["chi"], "system": {"kind": "full_shift"}},
