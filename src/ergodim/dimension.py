@@ -22,6 +22,7 @@ from .entropy import dyadic_agreement_radius
 from .errors import (
     EmptyCloud,
     MassStarvation,
+    ScaleUnderflow,
     TooFewPoints,
     TooFewScales,
     UnsupportedOracle,
@@ -57,6 +58,7 @@ __all__ = [
     "PointCloud",
     "DimensionEstimate",
     "default_delta",
+    "default_back_horizon",
     "default_scales",
     "scale_saturation_flags",
     "sample_unstable_set",
@@ -363,6 +365,26 @@ def default_delta(sys) -> float:
     return 0.05 if isinstance(sys, ToralAutomorphism) else 0.5
 
 
+# log phi^2, the growth per step of the cat map: a 40-step horizon is tuned to it
+_LOG_CAT_LAMBDA = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+
+
+def default_back_horizon(sys) -> int:
+    """Backward horizon used when none is given: 40 on a shift, and on a torus map as many
+    steps as the cat map takes to grow 40 times, floor(40 log phi^2 / log lambda).
+
+    Torus admission keeps ladder levels whose stable residue stays within budget after
+    lambda^back_horizon growth, so the horizon scales with 1 / log lambda (40 on both cat
+    maps, 80 on the golden-mean map); the 1e-9 keeps an exact quotient from rounding down.
+    """
+    if not isinstance(sys, ToralAutomorphism):
+        return 40
+    lam, _ = _unstable_direction(np.array(sys.matrix, dtype=float))
+    if lam <= 1.0:
+        raise UnsupportedOracle("unstable sampling needs a hyperbolic matrix")
+    return math.floor(40.0 * _LOG_CAT_LAMBDA / math.log(lam) + 1e-9)
+
+
 def default_scales(sys, delta: float, budget: int) -> list:
     """Box-counting scales used when none are given: six octaves from delta/4, or 2^-2..2^-9.
 
@@ -398,7 +420,7 @@ def sample_unstable_set(
     sys,
     x,
     delta: float,
-    back_horizon: int = 40,
+    back_horizon: int | None = None,
     budget: int = 10_000,
     admission_tolerance: float | None = None,
 ) -> PointCloud:
@@ -408,10 +430,13 @@ def sample_unstable_set(
     lattice displacements whose backward iterates stay small; shifts vary the
     expanding coordinates of x.  Every candidate is admission-tested exactly:
     d(T^{-i} x, T^{-i} y) <= delta for all i <= back_horizon and <= the
-    admission tolerance (default delta/8) at the horizon itself.
+    admission tolerance (default delta/8) at the horizon itself.  A null
+    ``back_horizon`` is ``default_back_horizon(sys)``.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
+    if back_horizon is None:
+        back_horizon = default_back_horizon(sys)
     tol = delta / 8.0 if admission_tolerance is None else admission_tolerance
     if not tol >= 0:
         raise ValueError("admission_tolerance must be nonnegative")
@@ -632,38 +657,37 @@ def local_dimension_lower(
 # ---------------------------------------------------------------------------
 
 
+# deepest weighted cylinder a cover count may read: the radii grow about fourfold
+# per octave (about 2 / eps^2), and a search this deep takes a fraction of a second
+COVER_DEPTH_LIMIT = 1 << 19
+
+
 def unstable_cover_counts(sys: FullShift, delta: float, octaves: int = 4):
     """Exact log cover counts of the full delta-local unstable set of a shift.
 
     The set of points agreeing with the base on the contracting side is
     covered by cylinders of diameter <= eps on the window [-k(eps), k(eps)];
     the count is alphabet^(k(eps) - m_delta + 1), exact in log space.  Returns
-    dicts with per-octave scales, log counts, and successive slopes.
+    dicts with per-octave scales, log counts, and successive slopes.  A weighted
+    depth past ``COVER_DEPTH_LIMIT`` raises ``ScaleUnderflow``.
     """
     a = sys.alphabet_size
-    if isinstance(sys.metric, DyadicMetric):
-        m_delta = max(dyadic_depth(delta), 1)
-    else:
-        # the first coordinate past the delta-cylinder's radius, at most 10_000
-        m_delta = cylinder_depth(sys.metric.weights, delta, 9_998) + 1
     scales = [delta / 2.0 * 2.0 ** (-j) for j in range(octaves + 1)]
     if isinstance(sys.metric, DyadicMetric):
+        m_delta = max(dyadic_depth(delta), 1)
         ks = [_symbolic_box_radius(sys, e) for e in scales]
     else:
-        # analytic covering radii: the stored-window cap does not apply here;
-        # scan the exact tail sum incrementally (k grows like 1/eps^2, and the
-        # scales are descending, so one pass covers every scale)
+        # the first coordinate past the delta-cylinder's radius, and the analytic
+        # covering radii (the stored-window cap does not apply here); the scales
+        # descend, so each search starts from the radius before it
         w = sys.metric.weights
+        m_delta = cylinder_depth(w, delta, COVER_DEPTH_LIMIT - 1) + 1
         ks = []
-        k = 0
-        partial = w.a(0)
-        tail = max(w.total - partial, 0.0)
         for e in scales:
-            while math.sqrt(2.0 * tail) > e:
-                k += 1
-                partial += w.a(k)
-                tail = max(w.total - partial, 0.0)
-            ks.append(k)
+            ks.append(cylinder_depth(w, e, COVER_DEPTH_LIMIT, start=ks[-1] if ks else 0))
+        if max(m_delta, ks[-1]) > COVER_DEPTH_LIMIT:
+            raise ScaleUnderflow(f"the cover of delta = {delta} over {octaves} octaves reads cylinders "
+                                 f"deeper than the cover depth limit {COVER_DEPTH_LIMIT}")
     log_counts = [max(k - m_delta + 1, 0) * math.log(a) for k in ks]
     slopes = [
         (c2 - c1) / math.log(2.0) for c1, c2 in zip(log_counts, log_counts[1:])
@@ -730,7 +754,7 @@ def verify_main_inequality(
     n_schedule=(2, 4, 6, 8),
     chi_points: int = 256,
     chi_probes: int = 128,
-    back_horizon: int = 40,
+    back_horizon: int | None = None,
     chi_floor: float = 0.05,
     slack_tolerance: float = 0.05,
     mass_points: int = 5,

@@ -213,20 +213,17 @@ def _bk_mc_shift(sys: FullShift, oracle, x, eps_schedule, ns, samples, seed):
 def _bk_mc_torus(sys: ToralAutomorphism, x: TorusPoint, eps_schedule, ns, samples, seed):
     rng = rng_for(seed, 12)
     pts = rng.integers(0, FIXED_DENOM, size=(samples, 2), dtype=np.int64)
-    xi = np.array(x.ints(), dtype=np.int64)
     A = np.array(sys.matrix, dtype=np.int64)
     run_max = np.zeros(samples)
     per_n_max = {}
-    cur = pts.copy()
-    cur_x = xi.copy()
+    # T^k y - T^k x = A^k (y - x) mod 1: the int64 matmul wraps mod 2^64, which 2^53 divides
+    disp = (pts - np.array(x.ints(), dtype=np.int64)) % FIXED_DENOM
     n_set = set(ns)
     for k in range(ns[-1]):
-        d = torus_norm_rows((cur - cur_x[None, :]) % FIXED_DENOM / FIXED_DENOM)
-        run_max = np.maximum(run_max, d)
+        run_max = np.maximum(run_max, torus_norm_rows(disp / FIXED_DENOM))
         if (k + 1) in n_set:
             per_n_max[k + 1] = run_max.copy()
-        cur = (cur @ A.T) % FIXED_DENOM
-        cur_x = (A @ cur_x) % FIXED_DENOM
+        disp = (disp @ A.T) % FIXED_DENOM
     return [_bk_mc_record(eps, [int((per_n_max[n] < eps).sum()) for n in ns], ns, samples)
             for eps in eps_schedule]
 

@@ -28,7 +28,6 @@ from .errors import ScaleUnderflow
 from .systems import (
     DyadicMetric,
     FullShift,
-    SymbolicPoint,
     SystemDescriptor,
     ToralAutomorphism,
     TorusTranslation,
@@ -36,6 +35,7 @@ from .systems import (
     open_flip_depth,
     resolution_floor,
     shift_orbit_distances,
+    shift_orbit_weights,
     torus_norm_rows,
 )
 from .measures import child_rngs, rng_for, uniform_symbols
@@ -126,28 +126,18 @@ _SHIFT_BLOCK_CELLS = 1 << 18
 
 
 def _draw_flip_probes(rng, k_lo, k_hi, alphabet, width, probes):
-    """One point's flip-probe draws, in stream order: depths, sides, symbols, offsets."""
+    """One point's flip-probe draws, in stream order: depths, sides, symbols."""
     ks = rng.integers(k_lo, k_hi + 1, size=probes)
     sides = np.where(rng.random(probes) < 0.5, 1, -1)
-    rand = uniform_symbols(rng, alphabet, (probes, width))
-    offset = rng.integers(1, alphabet, size=probes, dtype=np.int8)
-    return ks, sides, rand, offset
+    return ks, sides, uniform_symbols(rng, alphabet, (probes, width))
 
 
-def _shift_probe_symbols(x: SymbolicPoint, sys: FullShift, k_lo, k_hi, rng, probes):
-    """Probes that agree with x on |i| < k, are forced to differ at +-k, random beyond.
-
-    Returns (symbols[probes, width], the flip coordinates +-k).
-    """
-    a = sys.alphabet_size
-    ks, sides, rand, offset = _draw_flip_probes(rng, k_lo, k_hi, a, x.symbols.size, probes)
-    # randomize everything at |coord| >= k, then force the chosen flip at side*k
-    coords = np.arange(x.lo, x.hi + 1)
-    outside = np.abs(coords)[None, :] >= ks[:, None]
-    base = np.where(outside, rand, x.symbols[None, :])
-    flip_pos = sides * ks - x.lo
-    base[np.arange(probes), flip_pos] = (x.symbols[flip_pos] + offset) % a
-    return base, sides * ks
+def _flip_mismatches(unequal, ks, sides, first):
+    """Where flip probes differ from their points on the coordinates first, first + 1, ...: where
+    randomized (|coord| >= k) and the draw is ``unequal`` (updated in place), and at the flip side * k."""
+    unequal &= np.abs(first + np.arange(unequal.shape[1]))[None, :] >= ks[:, None]
+    unequal[np.arange(len(ks)), sides * ks - first] = True
+    return unequal
 
 
 def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
@@ -170,7 +160,8 @@ def _shift_window_plan(sys: FullShift, r, lo: int, hi: int, n_max: int):
         # within |f - j| <= reach + j of j, inside -reach..reach + 2 n_max
         reach = max(k_hi, -k_lo)
         return k_lo, k_hi, None, (max(lo, min(-reach, -1)), min(hi, reach + 2 * n_max))
-    return k_lo, k_hi, _shift_weight_matrix(sys, np.arange(lo, hi + 1), n_max), (lo, hi)
+    steps = np.arange(n_max + 1)
+    return k_lo, k_hi, shift_orbit_weights(sys, lo, hi - lo + 1, -steps if sys.inverted else steps), (lo, hi)
 
 
 def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
@@ -187,20 +178,10 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
     k_lo, k_hi, M, (first, last) = plan
     cols = slice(first - lo, last - lo + 1)
     draws = [_draw_flip_probes(rng, k_lo, k_hi, a, width, probes) for rng in rngs]
-    ks, sides, rand, offset = (
-        np.concatenate(parts) for parts in zip(*[(k, s, sym[:, cols], o) for k, s, sym, o in draws])
-    )
+    ks, sides, rand = (np.concatenate(parts) for parts in zip(*[(k, s, sym[:, cols]) for k, s, sym in draws]))
     centers = np.stack([x.symbols[cols] for x in xs])
-    rows = np.arange(len(ks))
-
-    # a probe differs from its point where it is randomized (|coord| >= k) and
-    # the draw disagrees, and at the forced flip, whose symbol is x + offset mod a
-    coords = np.arange(first, last + 1)
-    diff = (rand.reshape(len(xs), probes, -1) != centers[:, None, :]).reshape(len(ks), -1)
-    diff &= np.abs(coords)[None, :] >= ks[:, None]
-    flip_pos = sides * ks - first
-    at_flip = centers[rows // probes, flip_pos]
-    diff[rows, flip_pos] = (at_flip + offset) % a != at_flip
+    unequal = (rand.reshape(len(xs), probes, -1) != centers[:, None, :]).reshape(len(ks), -1)
+    diff = _flip_mismatches(unequal, ks, sides, first)
 
     # d(T^j x, T^j y) as ``shift_orbit_distances`` defines it, planned per window;
     # mismatches move as on the forward shift even when ``sys.inverted`` (its
@@ -228,13 +209,6 @@ def _shift_block_ratios(sys: FullShift, xs: list, r, ns, probes, rngs, plan):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios[j] = np.where(ok, d[:, n] / d0, 0.0)
     return accepted, ratios
-
-
-def _shift_weight_matrix(sys: FullShift, coords, n_max):
-    """M[i, j] = a_|coords[i] - j| for j = 0..n_max, zero where |coords[i] - j| > window."""
-    gap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])
-    vals = sys.metric.weights.values(int(np.abs(coords).max()) + n_max)
-    return vals[gap] * (gap <= sys.window)
 
 
 def lipschitz_table(
@@ -417,8 +391,9 @@ def _shift_inclusion_sample(sys, x, radius, eps, n, probes, rng):
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow("no flip depth available inside the window at this radius")
-    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
-    d = shift_orbit_distances(sys, symbols != x.symbols, x.lo, np.arange(n))  # d(T^t x, T^t y), t < n
+    ks, sides, rand = _draw_flip_probes(rng, k_lo, k_hi, sys.alphabet_size, x.symbols.size, probes)
+    diff = _flip_mismatches(rand != x.symbols, ks, sides, x.lo)
+    d = shift_orbit_distances(sys, diff, x.lo, np.arange(n))  # d(T^t x, T^t y), t < n
     # a candidate lies in the open ball and is distinguishable from x
     candidate = (d[:, 0] < radius) & (d[:, 0] > 0.0)
     outside = d >= eps
@@ -431,5 +406,5 @@ def _shift_inclusion_sample(sys, x, radius, eps, n, probes, rng):
     witness = None
     if bad.any():
         i = int(np.argmax(bad))
-        witness = {"flip_coordinate": int(flips[i]), "worst_distance": float(d[i].max())}
+        witness = {"flip_coordinate": int(sides[i] * ks[i]), "worst_distance": float(d[i].max())}
     return int(bad.sum()), witness

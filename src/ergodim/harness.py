@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .dimension import (
     box_counting_dimension,
+    default_back_horizon,
     default_delta,
     default_scales,
     sample_unstable_set,
@@ -35,7 +36,7 @@ from .dimension import (
     verify_main_inequality,
 )
 from .entropy import block_entropy_rate, brin_katok_local
-from .errors import ConfigInvalid, ErgodimError, HitStarvation, NonInvertible, TaskFailed
+from .errors import ConfigInvalid, ErgodimError, HitStarvation, NonInvertible, ScaleUnderflow, TaskFailed
 from .lyapunov import estimate_chi
 from .measures import (
     BernoulliIID,
@@ -421,6 +422,15 @@ def _default_scales(sys, opts):
     return scales
 
 
+def _cover_counts(sys, delta, octaves: int, fields: str):
+    """``unstable_cover_counts``, a weighted cover depth past its limit refused as a config
+    error naming ``fields``; the runners call it before chi runs."""
+    try:
+        return unstable_cover_counts(sys, delta, octaves=octaves)
+    except ScaleUnderflow as exc:
+        raise ConfigInvalid(f"field {fields}: {exc}") from exc
+
+
 def _with_window(sys, params: dict) -> dict:
     """``params`` plus the window a shift ran on: ``build_system`` raises the configured
     window to the task's minimum, and the config echo shows the configured one."""
@@ -682,14 +692,21 @@ def _run_dimension(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig):
+    opts = cfg.options
     sys = build_system(cfg.system, 192)
     _check_hyperbolic(sys)
-    if cfg.options["r_schedule"] is not None:
-        _check_radii(sys, cfg.options["r_schedule"])
-    if cfg.options["scales"] is None:
-        _default_scales(sys, cfg.options)  # verify_main_inequality takes the same defaults
+    if opts["r_schedule"] is not None:
+        _check_radii(sys, opts["r_schedule"])
+    if opts["scales"] is None:
+        _default_scales(sys, opts)  # verify_main_inequality takes the same defaults
+    if isinstance(sys, FullShift) and not isinstance(sys.metric, DyadicMetric):
+        # the divergence regime's cover (4 octaves), refused here if too deep rather than after chi
+        delta = opts["delta"] if opts["delta"] is not None else default_delta(sys)
+        _cover_counts(sys, delta, 4, "'delta'")
+    # T and T^-1 share lambda, so either direction resolves the same horizon
+    horizon = opts["back_horizon"] if opts["back_horizon"] is not None else default_back_horizon(sys)
     oracle = build_oracle(cfg.oracle)
-    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, **cfg.options)
+    rep = verify_main_inequality(sys, oracle, seed=cfg.seed, **{**opts, "back_horizon": horizon})
     payload = {
         "direction": rep.direction,
         "h": rep.h_value,
@@ -706,6 +723,7 @@ def _run_verify(cfg: ExperimentConfig):
     }
     params = {
         "chi_floor": rep.chi_floor,
+        "back_horizon": horizon,
         "slack_tolerance": _VERIFY_PARAMETERS["slack_tolerance"].default,
         "aggregation": "median over base points",
     }
@@ -736,14 +754,14 @@ def _run_appendix_hilbert(cfg: ExperimentConfig):
     rates = [math.log(operator_norm_power(w, k, window=window)) / k for k in ks]
     tail = [r for k, r in zip(ks, rates) if k >= 50]
     monotone_beyond_50 = all(b < a for a, b in zip(tail, tail[1:]))
+    delta = opts["delta"]
+    cover = _cover_counts(sys, delta, opts["octaves"], "'delta' or 'octaves'")
     chi_est = estimate_chi(
         sys, oracle, opts["r_schedule"], opts["n_schedule"],
         points=opts["points"],
         probes=opts["probes"],
         seed=cfg.seed,
     )
-    delta = opts["delta"]
-    cover = unstable_cover_counts(sys, delta, octaves=opts["octaves"])
     weight_check = w.check()
     flags = []
     failed = [k for k in ("decreasing", "ratio_bound", "subexponential") if not weight_check[k]]
@@ -826,7 +844,7 @@ _VERIFY_OPTIONS = {
     "direction": _one_of("forward", "backward"), "delta": _nullable(_POSITIVE_REAL),
     "base_points": _int(1), "scales": _nullable(_RADII), "r_schedule": _nullable(_RADII),
     "n_schedule": _LENGTHS, "chi_points": _int(1), "chi_probes": _int(1),
-    "chi_floor": _number("[0, inf)"), "back_horizon": _int(0), "cloud_budget": _int(100),
+    "chi_floor": _number("[0, inf)"), "back_horizon": _nullable(_int(0)), "cloud_budget": _int(100),
     "past_depth": _int(1),
 }
 
@@ -875,7 +893,7 @@ TASKS = {
     "dimension": TaskSpec(
         run=_run_dimension, systems=(_CAT, *_SHIFTS),
         options={"delta": (None, _nullable(_POSITIVE_REAL)), "scales": (None, _nullable(_RADII)),
-                 "back_horizon": (40, _int(0)), "cloud_budget": (10_000, _int(100)),
+                 "back_horizon": (None, _nullable(_int(0))), "cloud_budget": (10_000, _int(100)),
                  "point_index": (0, _int(0)), "admission_tolerance": (None, _nullable(_POSITIVE_REAL))},
         table=lambda p: (["scale", "count", "log_scale", "log_count"],
                          [[s, c, math.log(s), math.log(c)] for s, c in zip(p["scales"], p["counts"])]),

@@ -96,18 +96,18 @@ class CylinderPartition:
 
     def diameter_bound(self, sys: FullShift) -> float:
         """Exact sup of pairwise distances within one atom."""
-        S = set(self.coords)
         if isinstance(sys.metric, DyadicMetric):
             # sup distance = 2^{-s} for the smallest |i| not pinned by S
+            S = set(self.coords)
             s = 0
             while s in S and -s in S:
                 s += 1
             return 2.0 ** (-s)
         if isinstance(sys.metric, WeightedL2Metric):
-            w = sys.metric.weights
-            free = [i for i in range(-sys.window, sys.window + 1) if i not in S]
-            mass = math.fsum(w.a(abs(i)) for i in free)
-            return math.sqrt(mass)
+            # sup = sqrt of the weights of the stored coordinates the atom leaves free
+            coords = np.arange(-sys.window, sys.window + 1)
+            free = sys.metric.weights.values(sys.window)[np.abs(coords)][~np.isin(coords, self.coords)]
+            return math.sqrt(math.fsum(free.tolist()))
         raise MixedSystems("unknown shift metric")
 
 

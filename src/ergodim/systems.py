@@ -40,6 +40,7 @@ __all__ = [
     "iterate",
     "distance",
     "shift_orbit_distances",
+    "shift_orbit_weights",
     "torus_norm_rows",
     "invert",
     "resolution_floor",
@@ -83,19 +84,29 @@ class WeightSequence:
 
     The witness asserts a_k / a_l <= C * b(|k - l|) with (1/m) log b(m) -> 0.
     ``total`` is sum_{k>=0} a_k in closed form, which makes tail sums exact.
+    Each a_k is evaluated once per sequence, into a table that doubles on demand.
     """
 
     a: callable = _default_a
     b: callable = _default_b
     C: float = 2.0
     total: float = field(kw_only=True)
+    _table: list = field(default_factory=list, init=False, repr=False)
+
+    def _upto(self, kmax: int) -> list:
+        """a_0 .. a_m for some m >= kmax; a longer table is built whole, then swapped in."""
+        table = self._table
+        if len(table) <= kmax:
+            table = table + [self.a(k) for k in range(len(table), max(kmax + 1, 2 * len(table)))]
+            object.__setattr__(self, "_table", table)
+        return table
 
     def values(self, kmax: int) -> np.ndarray:
-        return np.array([self.a(k) for k in range(kmax + 1)], dtype=float)
+        return np.array(self._upto(kmax)[: kmax + 1], dtype=float)
 
     def tail_sum(self, kmin: int) -> float:
-        """sum_{k > kmin} a_k."""
-        partial = math.fsum(self.a(k) for k in range(kmin + 1))
+        """sum_{k > kmin} a_k (fsum is correctly rounded: any order of the same a_k gives these bits)."""
+        partial = math.fsum(self._upto(kmin)[: max(kmin + 1, 0)])
         return max(self.total - partial, 0.0)
 
     def check(self, grid_max: int = 512, horizon: int = 100_000, tol: float = 1e-3) -> dict:
@@ -351,6 +362,16 @@ def torus_norm_rows(v: np.ndarray) -> np.ndarray:
 _ORBIT_CELLS = 1 << 16
 
 
+def shift_orbit_weights(sys: FullShift, first: int, width: int, times) -> np.ndarray:
+    """w[j, k] = a_|i| for the coordinate i = first + j - t (first + j + t on an inverted
+    shift) that column j reaches after t = times[k] steps, and 0 where |i| > window:
+    the weighted metric's weight of a mismatch in column j at step t (C-contiguous)."""
+    step = -1 if sys.inverted else 1
+    pos = np.abs(first + np.arange(width)[:, None] - step * np.asarray(times)[None, :])
+    near = np.minimum(pos, sys.window)
+    return sys.metric.weights.values(int(near.max()))[near] * (pos <= sys.window)
+
+
 def shift_orbit_distances(sys: FullShift, diff, first: int, times) -> np.ndarray:
     """d(T^t x, T^t y) for each row of a mismatch matrix and each step t in ``times``.
 
@@ -388,10 +409,8 @@ def shift_orbit_distances(sys: FullShift, diff, first: int, times) -> np.ndarray
         # every distance is an exact integer: 2.0 ** -d has the same bits however it is found
         at = np.clip(j - a, 0, b - a)
         return 2.0 ** -np.minimum(j - last[:, at], nxt[:, at] - j)
-    pos = np.abs(first + np.arange(width)[:, None] - step * np.asarray(times)[None, :])  # [coordinate, step]
-    near = np.minimum(pos, sys.window)
-    w = sys.metric.weights.values(int(near.max()))[near] * (pos <= sys.window)
-    out = np.zeros((diff.shape[0], pos.shape[1]))
+    w = shift_orbit_weights(sys, first, width, times)
+    out = np.zeros((diff.shape[0], w.shape[1]))
     cols = np.flatnonzero(diff.any(axis=0))
     group = max(1, _ORBIT_CELLS // out.size)  # coordinates per batch of terms
     for s in range(0, cols.size, group):
@@ -461,6 +480,27 @@ def weighted_tail_bound(weights: WeightSequence, radius: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _least_depth(holds, lo: int, limit: int) -> int:
+    """Least k in lo..limit with holds(k), limit + 1 if none, by doubling from lo and then
+    bisection (O(log k) calls, none past 2k + 1).  ``holds`` must be false, then true: every
+    weighted depth tests a monotone function of ``tail_sum``, which never grows with k."""
+    fail, k = lo - 1, lo  # every j <= fail fails
+    while True:
+        k = min(k, limit)
+        if k <= fail:
+            return limit + 1
+        if holds(k):
+            break
+        fail, k = k, 2 * k + 1
+    while k - fail > 1:  # holds(k), and every j <= fail fails
+        mid = (fail + k) // 2
+        if holds(mid):
+            k = mid
+        else:
+            fail = mid
+    return k
+
+
 def open_flip_depth(sys: FullShift, r: float) -> int:
     """Smallest depth k at which one flipped symbol sits at distance below r (open ball).
 
@@ -469,17 +509,7 @@ def open_flip_depth(sys: FullShift, r: float) -> int:
     if isinstance(sys.metric, DyadicMetric):
         return dyadic_open_depth(r)
     weights = sys.metric.weights
-    a = []  # a_0 .. a_{k-1}, each read once
-    k = 1
-    while k < sys.window:
-        a.append(weights.a(k - 1))
-        # weighted_tail_bound(weights, k - 1): tail_sum's prefix is fsum(a), and
-        # fsum is correctly rounded, so the bound is the same
-        bound = math.sqrt(2.0 * max(weights.total - math.fsum(a), 0.0))
-        if bound < r:
-            break
-        k += 1
-    return k
+    return _least_depth(lambda k: weighted_tail_bound(weights, k - 1) < r, 1, sys.window - 1)
 
 
 def dyadic_open_depth(r: float) -> int:
@@ -499,22 +529,17 @@ def dyadic_depth(eps: float) -> int:
     return max(0, 1 - math.frexp(eps)[1])
 
 
-def cylinder_depth(weights: WeightSequence, eps: float, limit: int) -> int:
+def cylinder_depth(weights: WeightSequence, eps: float, limit: int, start: int = 0) -> int:
     """Smallest k <= limit whose cylinder fixing |i| <= k has weighted diameter
-    sqrt(2 * sum_{j > k} a_j) <= eps (two-sided); limit + 1 if none."""
-    k = 0
-    while k <= limit and math.sqrt(2.0 * weights.tail_sum(k)) > eps:
-        k += 1
-    return k
+    sqrt(2 * sum_{j > k} a_j) <= eps (two-sided); limit + 1 if none.  ``start`` is a
+    depth known not to exceed the answer (the answer at any larger eps)."""
+    return _least_depth(lambda k: weighted_tail_bound(weights, k) <= eps, start, limit)
 
 
 def one_sided_depth(weights: WeightSequence, eps: float, limit: int) -> int:
     """Smallest m <= limit with sqrt(sum_{j >= m} a_j) <= eps, the most that
     changing coordinates >= m on one side moves a point; limit + 1 if none."""
-    m = 0
-    while m <= limit and math.sqrt(weights.tail_sum(m - 1)) > eps:
-        m += 1
-    return m
+    return _least_depth(lambda m: math.sqrt(weights.tail_sum(m - 1)) <= eps, 0, limit)
 
 
 def operator_norm_curve(weights: WeightSequence, k: int, window: int) -> np.ndarray:

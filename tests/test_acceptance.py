@@ -198,6 +198,31 @@ def test_verify_holds_on_three_and_four_symbol_dyadic_shifts(capsys):
              "; ".join(rows) + " (dim within 0.05 of log a / log 2, holds)")
 
 
+# hyperbolic torus maps of both determinants with lambda from phi (1.62) to 5.83
+_TORUS_FAMILY = ([[3, 1], [2, 1]], [[4, 1], [3, 1]], [[5, 2], [2, 1]], [[0, 1], [1, 3]],
+                 [[3, 2], [1, 1]], [[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[1, 1], [1, 0]])
+
+
+def test_verify_and_dimension_hold_across_torus_maps(capsys):
+    # the default back_horizon scales with 1 / log lambda; at a fixed 40 the faster maps
+    # admitted no ladder level ([[3,1],[2,1]]) or read dim 0.870 ([[0,1],[1,3]])
+    rows = []
+    ok = True
+    for matrix in _TORUS_FAMILY:
+        system = {"kind": "toral_automorphism", "matrix": matrix}
+        ver = run_experiment(ExperimentConfig.from_dict({
+            "task": "verify", "seed": 0, "system": system, "base_points": 4,
+            "cloud_budget": 4000, "chi_points": 64, "chi_probes": 64,
+        })).payload
+        dim = run_experiment(ExperimentConfig.from_dict({
+            "task": "dimension", "seed": 0, "system": system, "cloud_budget": 4000,
+        })).payload
+        ok = ok and ver["holds"] and abs(ver["dim"] - 1.0) <= 0.05 and abs(dim["slope"] - 1.0) <= 0.10
+        rows.append(f"{matrix}: dim {ver['dim']:.3f}, slope {dim['slope']:.3f}")
+    announce(capsys, "verify and dimension across torus maps", ok,
+             "; ".join(rows) + " (verify holds with dim within 0.05 of 1, one-point slope within 0.10)")
+
+
 def test_weighted_metric_zero_exponent_regime(capsys):
     rep = run_experiment(ExperimentConfig.from_dict({"task": "appendix-hilbert", "seed": 0}))
     p = rep.payload

@@ -196,6 +196,12 @@ def test_malformed_schedule_exits_one(tmp_path, config_file, capsys, n_schedule)
         # JSON that is not an object: run as the chi subcommand
         ([1, 2], "config must be a JSON object"),
         ("chi", "config must be a JSON object"),
+        # a weighted cover deeper than its limit, refused before chi runs
+        ({"task": "appendix-hilbert", "seed": 0, "octaves": 12},
+         "field 'delta' or 'octaves': the cover of delta = 0.5 over 12 octaves reads cylinders deeper"),
+        ({"task": "verify", "seed": 0, "delta": 0.01, "system": {"kind": "full_shift", "metric": "weighted"}},
+         "field 'delta': the cover of delta = 0.01 over 4 octaves reads cylinders deeper than the "
+         "cover depth limit 524288"),
     ],
 )
 def test_values_the_runners_reject_exit_one(tmp_path, config_file, capsys, doc, message):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ergodim.dimension import (
+    COVER_DEPTH_LIMIT,
     PointCloud,
     _cloud_box_counts,
     _distinct_rows,
@@ -22,6 +23,7 @@ from ergodim.dimension import (
     _torus_candidates,
     _unstable_direction,
     box_counting_dimension,
+    default_back_horizon,
     default_scales,
     local_dimension_lower,
     sample_unstable_set,
@@ -32,6 +34,7 @@ from ergodim.entropy import dyadic_agreement_radius
 from ergodim.errors import (
     EmptyCloud,
     MassStarvation,
+    ScaleUnderflow,
     TooFewPoints,
     TooFewScales,
     UnsupportedOracle,
@@ -48,6 +51,7 @@ from ergodim.systems import (
     TorusPoint,
     WeightedL2Metric,
     WeightSequence,
+    cylinder_depth,
     distance,
     dyadic_depth,
     dyadic_open_depth,
@@ -806,6 +810,22 @@ def _old_cover_depth(sys, delta):
     return max(m_delta, 1)
 
 
+def _old_cylinder_depth(weights, eps, limit):
+    """systems: ``cylinder_depth``'s linear scan."""
+    k = 0
+    while k <= limit and math.sqrt(2.0 * weights.tail_sum(k)) > eps:
+        k += 1
+    return k
+
+
+def _old_one_sided_depth(weights, eps, limit):
+    """systems: ``one_sided_depth``'s linear scan."""
+    m = 0
+    while m <= limit and math.sqrt(weights.tail_sum(m - 1)) > eps:
+        m += 1
+    return m
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -874,16 +894,22 @@ def test_depth_helpers_match_the_loops_they_replaced(name):
     ids=["default", "ternary-w16", "geometric"],
 )
 def test_weighted_flip_depth_matches_the_per_k_loop(sys):
-    """One read of the weights gives the depths the per-k ``weighted_tail_bound`` loop gave.
+    """The one depth search gives the depths the per-k loops gave.
 
-    The grid holds every tail bound the loop compares with and its float
-    neighbours, so a sum rounded differently from ``fsum`` moves a depth.
+    The grid holds every tail bound the loops compare with (two-sided and one-sided)
+    and its float neighbours, so a sum rounded differently from ``fsum``, or a search
+    that is off by one at a boundary, moves a depth.
     """
-    bounds = [weighted_tail_bound(sys.metric.weights, k) for k in range(sys.window + 1)]
+    w = sys.metric.weights
+    bounds = [weighted_tail_bound(w, k) for k in range(-1, sys.window + 1)]
+    bounds += [math.sqrt(w.tail_sum(m)) for m in range(-1, sys.window + 1)]
     radii = [r for b in bounds for r in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))]
     for r in radii + [1e-300, 10.0]:
         if r > 0.0:
             assert open_flip_depth(sys, r) == _old_flip_depth(sys, r), r
+            for limit in (0, 5, sys.window):
+                assert cylinder_depth(w, r, limit) == _old_cylinder_depth(w, r, limit), (r, limit)
+                assert one_sided_depth(w, r, limit) == _old_one_sided_depth(w, r, limit), (r, limit)
 
 
 @pytest.mark.parametrize("r", [-1.0, 0.0, -0.0, math.inf, math.nan])
@@ -939,6 +965,27 @@ def test_weighted_cover_radii_match_direct_search(weighted_shift):
         assert k == k_got
     for k, lc in zip(cover["window_radii"], cover["log_counts"]):
         assert lc == pytest.approx(max(k - cover["m_delta"] + 1, 0) * LOG2, abs=1e-12)
+
+
+def test_weighted_cover_first_coordinate_is_not_capped_at_ten_thousand(weighted_shift):
+    # sqrt(2 * sum_{j > k} 1/(j^2 + 1)) <= 0.01 first at k = 20000, so m_delta = 20001
+    cover = unstable_cover_counts(weighted_shift, 0.01, octaves=0)
+    assert cover["m_delta"] == 20_001
+    assert weighted_tail_bound(weighted_shift.metric.weights, 20_000) <= 0.01
+    assert weighted_tail_bound(weighted_shift.metric.weights, 19_999) > 0.01
+
+
+def test_weighted_cover_depths_past_the_limit_are_refused():
+    w = FullShift(metric=WeightedL2Metric()).metric.weights
+    # the radius at octave j of delta 0.5 is about 32 * 4^j: octave 7 fits, octave 8 does not
+    cover = unstable_cover_counts(FullShift(metric=WeightedL2Metric()), 0.5, octaves=7)
+    assert cover["window_radii"][-1] <= COVER_DEPTH_LIMIT
+    with pytest.raises(ScaleUnderflow, match=f"over 8 octaves .* deeper than the cover depth limit {COVER_DEPTH_LIMIT}"):
+        unstable_cover_counts(FullShift(metric=WeightedL2Metric()), 0.5, octaves=8)
+    # m_delta itself lies past the limit: about 2 / delta^2
+    with pytest.raises(ScaleUnderflow, match="delta = 0.001 over 0 octaves"):
+        unstable_cover_counts(FullShift(metric=WeightedL2Metric()), 0.001, octaves=0)
+    assert cylinder_depth(w, 0.001, COVER_DEPTH_LIMIT) > COVER_DEPTH_LIMIT
 
 
 def test_weighted_cover_slopes_strictly_increase(weighted_shift):

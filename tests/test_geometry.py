@@ -18,9 +18,8 @@ from ergodim.geometry import (
     InclusionReport,
     _below_radius,
     _draw_flip_probes,
+    _flip_mismatches,
     _shift_block_ratios,
-    _shift_probe_symbols,
-    _shift_weight_matrix,
     _shift_window_plan,
     _torus_ratios_from_draws,
     check_ball_inclusion,
@@ -41,9 +40,22 @@ from ergodim.systems import (
     open_flip_depth,
     resolution_floor,
     shift_orbit_distances,
+    shift_orbit_weights,
     torus_norm_rows,
 )
 from tests.conftest import LOG_LAM
+
+
+def _probe_mismatches(x, sys, k_lo, k_hi, rng, probes):
+    """One point's flip probes as the production routes build them: (mismatch rows
+    against x on its window, flip coordinates)."""
+    ks, sides, rand = _draw_flip_probes(rng, k_lo, k_hi, sys.alphabet_size, x.symbols.size, probes)
+    return _flip_mismatches(rand != x.symbols, ks, sides, x.lo), sides * ks
+
+
+def _point_differing_at(x, row, alphabet):
+    """A point that differs from x exactly where ``row`` is True (every metric reads only that)."""
+    return SymbolicPoint(np.where(row, (x.symbols.astype(int) + 1) % alphabet, x.symbols), x.lo)
 
 
 def _orbit_max_distance(sys, x, y, n):
@@ -277,8 +289,8 @@ def test_nearest_mismatch_matches_reference_on_probes(bern_half, inverted):
     for s in range(3):
         x = sample_point(sys, bern_half, 50 + s)
         for k_lo, n_max in ((3, 1), (3, 8), (5, 24)):
-            symbols, _ = _shift_probe_symbols(x, sys, k_lo, k_lo + n_max + 16, rng_for(9, s), 96)
-            _assert_nearest_matches(symbols != x.symbols, x.lo, n_max)
+            diff, _ = _probe_mismatches(x, sys, k_lo, k_lo + n_max + 16, rng_for(9, s), 96)
+            _assert_nearest_matches(diff, x.lo, n_max)
 
 
 def test_nearest_mismatch_matches_reference_on_edge_rows():
@@ -313,8 +325,7 @@ def test_nearest_mismatch_past_a_small_window(bern_half):
     sys = FullShift(alphabet_size=2, window=8)
     x = sample_point(sys, bern_half, 3)
     assert x.hi == 8
-    symbols, _ = _shift_probe_symbols(x, sys, 2, 7, rng_for(2), 64)
-    diff = symbols != x.symbols
+    diff, _ = _probe_mismatches(x, sys, 2, 7, rng_for(2), 64)
     for n_max in (8, 9, 12, 20):
         _assert_nearest_matches(diff, x.lo, n_max)
     assert (_forward_distances(diff, x.lo, 12) > 0.0).all()
@@ -336,8 +347,31 @@ def test_flip_kernel_plan_gives_the_shared_orbit_distances(metric):
         if isinstance(metric, DyadicMetric):
             assert (2.0 ** -_nearest_reference(diff, lo, n_max)).tobytes() == want.tobytes()
         else:
-            M = _shift_weight_matrix(sys, np.arange(lo, lo + width), n_max)
+            M = _shift_weight_matrix_reference(sys, np.arange(lo, lo + width), n_max)
             np.testing.assert_allclose(np.sqrt(diff.astype(float) @ M), want, rtol=0, atol=1e-12)
+
+
+def _shift_weight_matrix_reference(sys, coords, n_max):
+    """The flip kernel's own weight matrix before it read ``shift_orbit_weights``:
+    M[i, j] = a_|coords[i] - j| for j = 0..n_max, zero where |coords[i] - j| > window."""
+    gap = np.abs(coords[:, None] - np.arange(n_max + 1)[None, :])
+    vals = sys.metric.weights.values(int(np.abs(coords).max()) + n_max)
+    return vals[gap] * (gap <= sys.window)
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("window, n_max", [(256, 128), (40, 12), (8, 20)])
+def test_orbit_weights_match_the_kernel_weight_matrix(inverted, window, n_max):
+    """One orbit-weight matrix for the ordered sum and the flip kernel's matmul: on
+    forward steps (negated on an inverted shift) it is the old kernel matrix, bit for bit."""
+    sys = FullShift(metric=WeightedL2Metric(), window=window, inverted=inverted)
+    steps = np.arange(n_max + 1)
+    want = _shift_weight_matrix_reference(sys, np.arange(-window, window + 1), n_max)
+    got = shift_orbit_weights(sys, -window, 2 * window + 1, -steps if inverted else steps)
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    plan = _shift_window_plan(sys, 0.9, -window, window, n_max)
+    assert plan[2].tobytes() == want.tobytes()
 
 
 def _probe_ratios(sys, x, r, ns, probes, rng):
@@ -477,8 +511,7 @@ def _shift_symbols_reference(x, sys, k_lo, k_hi, rng, probes):
     outside = np.abs(coords)[None, :] >= ks[:, None]
     base[outside] = rand[outside]
     flip_pos = sides * ks - x.lo
-    offset = rng.integers(1, a, size=probes, dtype=np.int8)
-    base[np.arange(probes), flip_pos] = (x.symbols[flip_pos] + offset) % a
+    base[np.arange(probes), flip_pos] = (x.symbols[flip_pos].astype(int) + 1) % a  # always another symbol
     return base, ks
 
 
@@ -528,6 +561,15 @@ def _shift_table_reference(sys, points, r, ns, probes, seed, r_tag):
 
 
 _MARKOV = MarkovStationary(((0.7, 0.3), (0.4, 0.6)))
+
+
+def _shift_points(sys, seed, count):
+    """Markov points on two symbols, uniform ones on more."""
+    a = sys.alphabet_size
+    oracle = _MARKOV if a == 2 else BernoulliIID((1.0 / a,) * a)
+    return [sample_point(sys, oracle, seed, i) for i in range(count)]
+
+
 _SHIFTS = {
     "dyadic": (FullShift(), 0.2, [1, 3, 8]),
     "dyadic-inverted": (FullShift(inverted=True), 0.05, [2, 5, 12, 20]),
@@ -535,6 +577,8 @@ _SHIFTS = {
     "weighted-inverted": (FullShift(metric=WeightedL2Metric(), inverted=True), 0.3, [2, 8, 32]),
     # n_max near the window: the dyadic route's column range is clamped on both sides
     "dyadic-small-window": (FullShift(window=12), 0.2, [1, 4, 9]),
+    # x + offset wrapped in int8 on 86-127 symbols, and the forced flip could keep x's symbol
+    "weighted-100-symbols": (FullShift(alphabet_size=100, metric=WeightedL2Metric()), 0.25, [1, 4, 16]),
 }
 
 
@@ -587,7 +631,7 @@ def test_shift_blocks_match_per_point_loop(monkeypatch, name, r_tag):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two chunks whatever the machine
     sys, r, ns = _SHIFTS[name]
     probes = 48
-    xs = [sample_point(sys, _MARKOV, 12, i) for i in range(7)]
+    xs = _shift_points(sys, 12, 7)
     _assert_table_matches(sys, xs[:1], r, ns, probes, threads=2, r_tag=r_tag)
     # three points per block: blocks of 3, 3 and 1; on two threads, chunks 0..2 and 3..6
     monkeypatch.setattr(geometry, "_SHIFT_BLOCK_CELLS", 3 * probes * _columns_read(sys, r, ns))
@@ -626,7 +670,7 @@ def test_no_points_give_empty_tables(request, system):
 def test_threaded_shift_table_matches_per_point_loop(monkeypatch, name):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sys, r, ns = _SHIFTS[name]
-    xs = [sample_point(sys, _MARKOV, 14, i) for i in range(5)]
+    xs = _shift_points(sys, 14, 5)
     values, accepted = lipschitz_table(sys, xs, r, ns, 40, 6, 2, threads=2)
     want_values, want_accepted = _shift_table_reference(sys, xs, r, ns, 40, 6, 2)
     assert values.tobytes() == want_values.tobytes()
@@ -636,16 +680,16 @@ def test_threaded_shift_table_matches_per_point_loop(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(_SHIFTS))
 def test_one_point_route_matches_reference(name):
     sys, r, ns = _SHIFTS[name]
-    x = sample_point(sys, _MARKOV, 15)
-    for probes in (1, 64):
+    (x,) = _shift_points(sys, 15, 1)
+    for probes in (1, 64, 4096):
         acc, rat = _probe_ratios(sys, x, r, ns, probes, rng_for(3, probes))
         want_acc, want_rat = _shift_ratios_reference(sys, x, r, ns, probes, rng_for(3, probes))
         np.testing.assert_array_equal(acc, want_acc.T)
         assert rat.tobytes() == want_rat.T.tobytes()
         k_lo = open_flip_depth(sys, r)
-        got, _ = _shift_probe_symbols(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
+        got, _ = _probe_mismatches(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
         want, _ = _shift_symbols_reference(x, sys, k_lo, k_lo + 9, rng_for(4, probes), probes)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (want != x.symbols).tobytes()
 
 
 def test_shift_table_underflow_matches_reference():
@@ -734,9 +778,9 @@ def test_inclusion_symbolic_witness_reads_the_orbit_maximum(bern_half, inverted)
     radius = args["eta"] * math.exp(-n_fail * 0.25 * math.log(2.0))
     k_lo = open_flip_depth(sys, radius)
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
-    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng_for(0, n_fail), 100)
-    for row, flip in zip(symbols, flips):
-        y = SymbolicPoint(row, x.lo)
+    diff, flips = _probe_mismatches(x, sys, k_lo, k_hi, rng_for(0, n_fail), 100)
+    for row, flip in zip(diff, flips):
+        y = _point_differing_at(x, row, sys.alphabet_size)
         if 0.0 < distance(sys, x, y) < radius and _orbit_max_distance(sys, x, y, n_fail) >= args["eps"]:
             break
     assert witness["flip_coordinate"] == flip
@@ -752,15 +796,15 @@ def _shift_inclusion_loop(sys, x, radius, eps, n, probes, rng):
     k_hi = min(-x.lo - 1, x.hi - 1, k_lo + 16)
     if k_hi < k_lo:
         raise ScaleUnderflow("no flip depth available inside the window at this radius")
-    symbols, flips = _shift_probe_symbols(x, sys, k_lo, k_hi, rng, probes)
-    for row, flip in zip(symbols, flips):
-        y = SymbolicPoint(row, x.lo)
+    diff, flips = _probe_mismatches(x, sys, k_lo, k_hi, rng, probes)
+    for row, flip in zip(diff, flips):
+        y = _point_differing_at(x, row, sys.alphabet_size)
         if distance(sys, x, y) >= radius or distance(sys, x, y) == 0.0:
             continue
         if any(distance(sys, iterate(sys, x, k), iterate(sys, y, k)) >= eps for k in range(n)):
             violations += 1
             if witness is None:
-                worst = shift_orbit_distances(sys, (row != x.symbols)[None], x.lo, np.arange(n)).max()
+                worst = shift_orbit_distances(sys, row[None], x.lo, np.arange(n)).max()
                 witness = {"flip_coordinate": int(flip), "worst_distance": float(worst)}
     return violations, witness
 

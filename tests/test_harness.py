@@ -344,11 +344,57 @@ def test_malformed_schedules_rejected(task, field, value):
              "system": {"kind": "toral_automorphism", "matrix": [[0, 1], [1, 0]]}},
             r"field 'system.matrix': \[\[0, 1\], \[1, 0\]\] is not hyperbolic \(trace 0, det -1\)",
         ),
+        # weighted cover radii grow about fourfold per octave: past the depth limit, refused
+        (
+            {"task": "appendix-hilbert", "seed": 0, "octaves": 12},
+            r"field 'delta' or 'octaves': the cover of delta = 0.5 over 12 octaves reads cylinders "
+            r"deeper than the cover depth limit 524288",
+        ),
+        (
+            {"task": "appendix-hilbert", "seed": 0, "delta": 0.001},
+            r"field 'delta' or 'octaves': the cover of delta = 0.001 over 4 octaves reads cylinders deeper",
+        ),
+        (
+            {"task": "verify", "seed": 0, "delta": 0.01, "system": {"kind": "full_shift", "metric": "weighted"}},
+            r"field 'delta': the cover of delta = 0.01 over 4 octaves reads cylinders deeper than",
+        ),
     ],
 )
 def test_values_the_runners_reject_are_config_errors(raw, message):
     with pytest.raises(ConfigInvalid, match=message):
         run_experiment(ExperimentConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("raw", [
+    {"task": "appendix-hilbert", "seed": 0, "octaves": 9},
+    {"task": "verify", "seed": 0, "delta": 0.01, "system": {"kind": "full_shift", "metric": "weighted"}},
+])
+def test_weighted_cover_depths_are_refused_before_chi(monkeypatch, raw):
+    import ergodim.harness as harness
+
+    def no_chi(*args, **kwargs):
+        raise AssertionError("chi ran before the cover depth was checked")
+
+    monkeypatch.setattr(harness, "estimate_chi", no_chi)
+    monkeypatch.setattr(harness, "verify_main_inequality", no_chi)
+    with pytest.raises(ConfigInvalid, match="deeper than the cover depth limit"):
+        run(raw)
+
+
+@pytest.mark.parametrize("matrix, horizon", [([[2, 1], [1, 1]], 40), ([[-2, 1], [1, -1]], 40),
+                                             ([[1, 1], [1, 0]], 80), ([[3, 1], [2, 1]], 29),
+                                             ([[0, 1], [1, 3]], 32), ([[5, 2], [2, 1]], 21)])
+def test_a_null_back_horizon_resolves_from_lambda(matrix, horizon):
+    # floor(40 log phi^2 / log lambda): the cat map's 40 steps of growth, whatever lambda is
+    system = {"kind": "toral_automorphism", "matrix": matrix}
+    dim = run({**TINY_CONFIGS["dimension"], "system": system})
+    ver = run({**TINY_CONFIGS["verify"], "system": system, "chi_points": 16, "chi_probes": 16,
+               "base_points": 1, "direction": "backward"})
+    for rep in (dim, ver):
+        assert rep.config["back_horizon"] is None  # the echo shows the null default
+        assert rep.parameters["back_horizon"] == horizon  # the report, what ran
+    explicit = run({**TINY_CONFIGS["dimension"], "system": system, "back_horizon": horizon})
+    assert explicit.payload_bytes() == dim.payload_bytes()
 
 
 def test_non_hyperbolic_matrices_are_refused_before_sampling(monkeypatch):
